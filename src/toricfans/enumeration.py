@@ -113,7 +113,8 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         except FanValidationError:
             return
         if is_complete(fan):
-            assert is_smooth(fan)
+            if not is_smooth(fan):
+                raise AssertionError("a fan of unimodular cones is not smooth")
             found.setdefault(canonical_key(fan), fan)
 
     def extend(chosen: list[int], face_count: dict[tuple[int, int], int]) -> None:

@@ -1,12 +1,15 @@
-"""Simplicial lattice fans in exact integer/rational arithmetic.
+"""Simplicial lattice fans in R^3 in exact integer/rational arithmetic.
 
 A fan is stored as its list of primitive ray generators together with the
-maximal cones, each a sorted tuple of ray indices of size exactly ``dim``.
+maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
 Fans are immutable after validation; every operation is a pure function
 returning new values, so fans are safe to share between threads.
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
+Whether two cones glue properly or share interior points is decided by one
+exact integer test that looks for a separating plane among the cross
+products of their rays (`_separated`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from .lp import fm_feasible
 
 IntVec = tuple[int, ...]
 ConeTuple = tuple[int, ...]
@@ -105,12 +107,12 @@ class PrimitiveRelation:
 def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     """Check raw ray/cone data and return the canonical `Fan`.
 
-    All geometric checks (independence, pairwise proper gluing) run in exact
-    rational arithmetic. Cones are stored sorted, the cone list sorted
-    lexicographically.
+    Only ``dim == 3`` is accepted. All geometric checks (independence,
+    pairwise proper gluing) run in exact integer arithmetic. Cones are
+    stored sorted, the cone list sorted lexicographically.
     """
-    if dim < 1:
-        raise FanValidationError(f"dimension must be positive, got {dim}")
+    if not isinstance(dim, int) or dim != 3:
+        raise FanValidationError(f"dimension must be 3, got {dim!r}")
 
     rays: list[IntVec] = []
     for raw in raw_rays:
@@ -163,57 +165,60 @@ def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple
     positive on the other rays of one cone and strictly negative on those of
     the other.
     """
-    dim = len(rays[0])
-    shared = set(cone_a) & set(cone_b)
-    only_a = [i for i in cone_a if i not in shared]
-    only_b = [i for i in cone_b if i not in shared]
-    if shared and len(shared) == dim - 1:
-        # One-dimensional space of candidate functionals: the off rays must
-        # lie strictly on opposite sides of the shared hyperplane.
-        if dim == 3:
-            s = sorted(shared)
-            normal = rational.cross3(rays[s[0]], rays[s[1]])
-        else:
-            normal = rational.nullspace([rays[i] for i in sorted(shared)])[0]
-        sa = rational.dot(normal, rays[only_a[0]])
-        sb = rational.dot(normal, rays[only_b[0]])
-        return sa * sb < 0
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for i in sorted(shared):
-        rows.append(rays[i])
-        rhs.append(0)
-        rows.append(tuple(-x for x in rays[i]))
-        rhs.append(0)
-    for i in only_a:
-        rows.append(rays[i])
-        rhs.append(1)
-    for i in only_b:
-        rows.append(tuple(-x for x in rays[i]))
-        rhs.append(1)
-    return fm_feasible(rows, rhs)
+    return _separated(rays, cone_a, cone_b, strict=True)
 
 
 def interiors_overlap(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
-    """Whether two full-dimensional simplicial cones share an interior point."""
-    basis_a = [rays[i] for i in cone_a]
-    coords = [
-        rational.solve_columns([rays[i] for i in cone_b], v) for v in basis_a
-    ]
-    if any(c is None for c in coords):
-        raise ValueError("cones must be full-dimensional")
-    dim = len(rays[0])
-    # x = sum(l_k * a_k) interior to both: l > 0 and (coords of x in b) > 0,
-    # scaled to >= 1 by homogeneity.
-    rows = [tuple(1 if k == j else 0 for k in range(dim)) for j in range(dim)]
-    rows += [
-        tuple(rational.integerize([coords[k][j] for k in range(dim)]))
-        for j in range(dim)
-    ]
-    # integerize rescales rows by positive factors, which strict homogeneous
-    # feasibility does not see
-    rhs = [1] * len(rows)
-    return fm_feasible(rows, rhs)
+    """Whether two full-dimensional simplicial cones share an interior point.
+
+    Two full-dimensional convex cones have disjoint interiors exactly when a
+    nonzero linear functional is >= 0 on one and <= 0 on the other.
+    """
+    for cone in (cone_a, cone_b):
+        if rational.determinant([rays[i] for i in cone]) == 0:
+            raise ValueError("cones must be full-dimensional")
+    return not _separated(rays, cone_a, cone_b, strict=False)
+
+
+def _separated(
+    rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple, strict: bool
+) -> bool:
+    """Whether a normal h vanishing on the shared rays has h @ w >= 0 on every
+    off ray w (those of ``cone_b`` negated): a nonzero one, or with
+    ``strict`` one with every h @ w > 0.
+
+    Such normals form a pointed cone (inside the dual of ``cone_a``) whose
+    extreme rays are +- cross products of two rays, one of them the first
+    shared ray if any; a strict normal exists iff their sum is strict.
+    """
+    shared = [rays[i] for i in cone_a if i in cone_b]
+    off = [rays[i] for i in cone_a if i not in cone_b]
+    off += [(-x, -y, -z) for x, y, z in (rays[i] for i in cone_b if i not in cone_a)]
+    if shared:
+        pairs = [(shared[0], w) for w in shared[1:] + off]
+    else:
+        pairs = itertools.combinations(off, 2)
+    # running sum of the passing candidates, as its values on the off rays
+    total = [0] * len(off)
+    for (u0, u1, u2), (v0, v1, v2) in pairs:
+        h0 = u1 * v2 - u2 * v1
+        h1 = u2 * v0 - u0 * v2
+        h2 = u0 * v1 - u1 * v0
+        if not (h0 or h1 or h2):
+            continue
+        if any(h0 * f0 + h1 * f1 + h2 * f2 for f0, f1, f2 in shared[1:]):
+            continue
+        values = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in off]
+        if any(v < 0 for v in values):
+            if any(v > 0 for v in values):
+                continue
+            values = [-v for v in values]  # -h passes
+        if not strict:
+            return True
+        total = [t + v for t, v in zip(total, values)]
+        if all(t > 0 for t in total):
+            return True
+    return strict and not off  # with no off rays strictness is vacuous
 
 
 def is_smooth(fan: Fan) -> bool:
@@ -276,7 +281,8 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     lam[wall.off_rays[0]] = -Fraction(coords[-1])
     lam[wall.off_rays[1]] = Fraction(1)
     dense = rational.integerize([lam.get(i, 0) for i in range(len(fan.rays))])
-    assert dense[wall.off_rays[0]] > 0 and dense[wall.off_rays[1]] > 0
+    if not (dense[wall.off_rays[0]] > 0 and dense[wall.off_rays[1]] > 0):
+        raise AssertionError(f"circuit of wall {wall.rays} is not positive on its off rays")
     fan._circuit_cache[wall.rays] = dense
     return dense
 
@@ -284,8 +290,9 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
 def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:
     """All inclusion-minimal sets of rays spanning no cone of the fan.
 
-    Brute-force over subsets, ordered by (size, lexicographic); fine for the
-    ray counts this package targets.
+    Ordered by (size, lexicographic). Every proper subset of a minimal
+    non-face is a face, and a face of a simplicial 3-fan has at most 3 rays,
+    so only subsets of 2 to 4 rays are scanned.
     """
     n = len(fan.rays)
     cone_sets = fan.cone_sets
@@ -294,7 +301,7 @@ def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:
         return any(s <= cs for cs in cone_sets)
 
     out = []
-    for size in range(2, n + 1):
+    for size in range(2, min(n, 4) + 1):
         for combo in itertools.combinations(range(n), size):
             s = frozenset(combo)
             if is_face(s):
@@ -326,7 +333,8 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
         coords = rational.solve_columns([fan.rays[i] for i in cone], total)
         if all(c >= 0 for c in coords):
             target = [(i, c) for i, c in zip(cone, coords) if c > 0]
-            assert all(c.denominator == 1 for _, c in target)
+            if not all(c.denominator == 1 for _, c in target):
+                raise AssertionError(f"relation of {col} has non-integral coefficients")
             return PrimitiveRelation(
                 col,
                 tuple(i for i, _ in target),
@@ -373,8 +381,6 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     (a, b, x) and (a, b, y). Star subdivision along the removed ray undoes
     the contraction exactly.
     """
-    if fan.dim != 3:
-        raise FanValidationError("ray contraction is implemented for dimension 3 only")
     if ray_index < 0 or ray_index >= len(fan.rays):
         raise FanValidationError(f"no ray with index {ray_index}")
     star = [cone for cone in fan.max_cones if ray_index in cone]

@@ -1,11 +1,11 @@
 """The fan file format and JSON documents for certificates and reports.
 
-A fan file is one JSON document with fields ``dim`` (int), ``rays`` (list of
-integer vectors) and ``max_cones`` (list of lists of 0-based ray indices).
-Serialization is canonical: each cone ascending, cone list lexicographic,
-fixed key order, two-space indent, trailing newline; re-reading and
-re-writing a file reproduces it byte for byte. Rationals appear as exact
-strings like ``"3"`` or ``"-5/2"``.
+A fan file is one JSON document with fields ``dim`` (the int 3), ``rays``
+(list of integer vectors) and ``max_cones`` (list of lists of 0-based ray
+indices). Serialization is canonical: each cone ascending, cone list
+lexicographic, fixed key order, two-space indent, trailing newline;
+re-reading and re-writing a file reproduces it byte for byte. Rationals
+appear as exact strings like ``"3"`` or ``"-5/2"``.
 
 Ray indices inside documents are 0-based; human-readable ``label`` fields use
 the 1-based v1..vN names.
@@ -84,7 +84,10 @@ def _render(obj, depth: int) -> str:
 
 
 def load_fan(path) -> Fan:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FanValidationError(f"cannot read fan file {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

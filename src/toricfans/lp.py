@@ -1,11 +1,13 @@
 """Exact feasibility of rational linear-inequality systems, with certificates.
 
-Systems have the form ``A x >= b``. The primary decision procedure is
-Fourier-Motzkin elimination over the rationals with multiplier bookkeeping:
-a feasible system yields an explicit rational point, an infeasible one yields
-nonnegative Farkas multipliers ``mu`` with ``mu @ A == 0`` and ``mu @ b > 0``.
-Both witnesses can be re-verified by direct evaluation, independently of the
-elimination.
+Systems have the form ``A x >= b``. The one decision procedure is
+Fourier-Motzkin elimination over the rationals with multiplier bookkeeping
+(`solve_system`): a feasible system yields an explicit rational point, an
+infeasible one yields nonnegative Farkas multipliers ``mu`` with
+``mu @ A == 0`` and ``mu @ b > 0``. Both witnesses can be re-verified by
+direct evaluation, independently of the elimination. `fm_feasible` is the
+same decision without the witness. Cone gluing and overlap in `fan` do not
+use this module: they are decided by an exact 3-D separation test there.
 
 `feasible_by_basis_enumeration` is a deliberately separate oracle (basic
 solutions of row subsets) used to cross-check the eliminator in tests.
@@ -119,7 +121,8 @@ def solve_system(
             highs.append(Fraction(r.rhs - rest, r.coeffs[j]))
         if lows and highs:
             lo, hi = max(lows), min(highs)
-            assert lo <= hi, "Fourier-Motzkin back-substitution out of order"
+            if lo > hi:
+                raise AssertionError("Fourier-Motzkin back-substitution out of order")
             x[j] = (lo + hi) / 2
         elif lows:
             x[j] = max(lows)
@@ -129,48 +132,8 @@ def solve_system(
 
 
 def fm_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
-    """Certificate-free Fourier-Motzkin feasibility.
-
-    Same decision as `solve_system` without the multiplier bookkeeping or the
-    witness; this is the inner loop of the pairwise cone gluing checks.
-    Coefficients stay integral, bounds exact rational.
-    """
-    n = len(rows[0]) if rows else 0
-
-    def sift(candidates):
-        best: dict[tuple[int, ...], Fraction] = {}
-        for coeffs, b in candidates:
-            g = vec_gcd(coeffs)
-            if g == 0:
-                if b > 0:
-                    return None
-                continue
-            if g > 1:
-                coeffs = tuple(c // g for c in coeffs)
-                b = b / g
-            seen = best.get(coeffs)
-            if seen is None or b > seen:
-                best[coeffs] = b
-        return list(best.items())
-
-    active = sift(zip((tuple(r) for r in rows), (Fraction(b) for b in rhs)))
-    if active is None:
-        return False
-    for j in range(n):
-        pos = [r for r in active if r[0][j] > 0]
-        neg = [r for r in active if r[0][j] < 0]
-        combined = [(c, b) for c, b in active if c[j] == 0]
-        for pc, pb in pos:
-            a = pc[j]
-            for qc, qb in neg:
-                c = -qc[j]
-                combined.append(
-                    (tuple(c * x + a * y for x, y in zip(pc, qc)), c * pb + a * qb)
-                )
-        active = sift(combined)
-        if active is None:
-            return False
-    return True
+    """Feasibility alone: whether `solve_system` finds a point."""
+    return isinstance(solve_system(rows, rhs), FeasiblePoint)
 
 
 def verify_feasible(rows, rhs, x) -> bool:

@@ -101,13 +101,15 @@ def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
         for i, value in zip(free, outcome.x):
             d[i] = value
         cert = ProjectivityCertificate(feasible_d=tuple(d))
-        assert verify_certificate(fan, cert)
+        if not verify_certificate(fan, cert):
+            raise AssertionError("the ample divisor found does not re-verify")
         return True, cert
     mult = {
         i: m for i, m in enumerate(outcome.multipliers) if m != 0
     }
     cert = ProjectivityCertificate(farkas=mult)
-    assert verify_certificate(fan, cert)
+    if not verify_certificate(fan, cert):
+        raise AssertionError("the Farkas certificate found does not re-verify")
     return False, cert
 
 
@@ -198,7 +200,8 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
         },
         nonneg_multipliers={i: m for i, m in enumerate(mult[:n]) if m != 0},
     )
-    assert verify_obstruction(fan, witness)
+    if not verify_obstruction(fan, witness):
+        raise AssertionError("the effective-ample obstruction found does not re-verify")
     return witness
 
 

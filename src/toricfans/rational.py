@@ -30,14 +30,6 @@ def dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Scalar, v: Sequence[Scalar]) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def mat_vec(m: Sequence[Sequence[Scalar]], v: Sequence[Scalar]) -> Vector:
     return tuple(dot(row, v) for row in m)
 
@@ -51,37 +43,15 @@ def cross3(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
 
 
 def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Exact determinant; stays in `int` for integer input."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows
-        return (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+    """Exact 3x3 determinant; stays in `int` for integer input."""
+    if len(rows) != 3 or any(len(row) != 3 for row in rows):
+        raise ValueError("determinant needs a 3x3 matrix")
+    a, b, c = rows
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -131,23 +101,6 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return a, pivots
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]]) -> list[Vector]:
-    """Basis of the right kernel {x : rows @ x = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    a, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            x[p] = -a[r][f]
-        basis.append(tuple(x))
-    return basis
-
-
 def solve_columns(
     vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
 ) -> Optional[Vector]:
@@ -158,7 +111,7 @@ def solve_columns(
     """
     n = len(target)
     k = len(vectors)
-    if k == n:
+    if k == n == 3:
         # Cramer on the square case, the common one
         d = determinant([[vectors[j][i] for j in range(k)] for i in range(n)])
         if d != 0:

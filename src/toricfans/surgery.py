@@ -69,8 +69,6 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
     input in codimension one. Anti-flips may produce non-smooth fans, which
     are first-class values here.
     """
-    if fan.dim != 3:
-        raise FanValidationError("wall exchanges are implemented for dimension 3 only")
     classification = classify_wall(fan, wall)
     if classification.kind not in MODIFIABLE:
         raise NotModifiableWallError(

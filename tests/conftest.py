@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from toricfans import validate_fan
+from toricfans import build, star_subdivide, validate_fan
 
 P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_CONES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -34,6 +35,34 @@ CATALOG_INSTANCES = [
     ("Z14pp", (0, 0)),
     ("Z14pp", (2, -1)),
 ]
+
+# The parameter grids of acceptance criteria 2 and 3; with W7_5 they make up
+# the catalog grid.
+PROJECTIVE_GRID = (
+    [("Z2", (a,)) for a in range(-3, 4)]
+    + [("Z10", ())]
+    + [("Z11", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
+)
+MIXED_GRID = (
+    [("Z5p", (a,)) for a in range(-3, 4)]
+    + [("Z5pp", ()), ("Z8", ()), ("Z12", ())]
+    + [("Z14p", (a,)) for a in range(-2, 3)]
+    + [("Z14pp", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
+    + [("Z13p", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
+    + [("Z13pp", t) for t in itertools.product((-1, 0, 1, 2), repeat=4)]
+)
+CATALOG_GRID = [("W7_5", ())] + PROJECTIVE_GRID + MIXED_GRID
+
+
+def blowup_chain(fid, params, top, seed=0):
+    """Blow up a seeded random maximal cone at its ray sum until the fan has
+    ``top`` rays; the result stays smooth and complete."""
+    rng = random.Random(seed)
+    fan = build(fid, params)
+    while len(fan.rays) < top:
+        cone = rng.choice(fan.max_cones)
+        fan = star_subdivide(fan, [sum(fan.rays[i][k] for i in cone) for k in range(3)])
+    return fan
 
 
 @pytest.fixture

@@ -7,7 +7,13 @@ appear. Every check is exact (integer/rational arithmetic, no tolerances).
 import itertools
 import random
 
-from conftest import CATALOG_INSTANCES, ray_index, random_unimodular
+from conftest import (
+    CATALOG_INSTANCES,
+    MIXED_GRID,
+    PROJECTIVE_GRID,
+    ray_index,
+    random_unimodular,
+)
 from toricfans import (
     build,
     canonical_key,
@@ -51,22 +57,6 @@ def _oracle_projective(fan) -> bool:
     free = _gauge_columns(fan)
     rows = [tuple(q.coeffs[i] for i in free) for q in qs]
     return feasible_by_basis_enumeration(rows, [1] * len(rows))
-
-
-# the parameter grids of criteria 2 and 3
-PROJECTIVE_GRID = (
-    [("Z2", (a,)) for a in range(-3, 4)]
-    + [("Z10", ())]
-    + [("Z11", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
-)
-MIXED_GRID = (
-    [("Z5p", (a,)) for a in range(-3, 4)]
-    + [("Z5pp", ()), ("Z8", ()), ("Z12", ())]
-    + [("Z14p", (a,)) for a in range(-2, 3)]
-    + [("Z14pp", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
-    + [("Z13p", (a, b)) for a in range(-2, 3) for b in range(-2, 3)]
-    + [("Z13pp", t) for t in itertools.product((-1, 0, 1, 2), repeat=4)]
-)
 
 
 def test_criterion_1_the_picard_four_example():

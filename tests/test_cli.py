@@ -64,6 +64,32 @@ class TestCheck:
         path.write_text("not json at all")
         assert run(capsys, "check", str(path))[0] == 2
 
+    def test_missing_file_exits_two_with_one_line(self, tmp_path, capsys):
+        code, out, err = run(capsys, "check", str(tmp_path / "absent.fan"))
+        assert code == 2
+        assert json.loads(out)["valid"] is False
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "absent.fan" in err
+
+    def test_undecodable_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.fan"
+        path.write_bytes(b"\xff\xfe\x00")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert err.count("\n") == 1
+
+    def test_dimension_other_than_three_exits_two(self, tmp_path, capsys):
+        for dim in ('"3"', "2"):
+            path = tmp_path / "dim.fan"
+            path.write_text(
+                f'{{"dim": {dim}, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": [[0,1,2]]}}'
+            )
+            code, out, err = run(capsys, "check", str(path))
+            assert code == 2
+            assert json.loads(out)["valid"] is False
+            assert err.count("\n") == 1
+            assert "dimension must be 3" in err
+
 
 class TestRoundTrip:
     def test_written_fans_reserialize_byte_identically(self, tmp_path, capsys):

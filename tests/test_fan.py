@@ -1,8 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import P3_CONES, P3_RAYS, ray_index, random_unimodular
+from conftest import (
+    CATALOG_GRID,
+    P3_CONES,
+    P3_RAYS,
+    blowup_chain,
+    ray_index,
+    random_unimodular,
+)
 from toricfans import (
     build,
     canonical_key,
@@ -13,6 +23,7 @@ from toricfans import (
     picard_number,
     primitive_collections,
     primitive_relation,
+    rational,
     star_subdivide,
     validate_fan,
     wall_circuit,
@@ -23,6 +34,7 @@ from toricfans.errors import (
     DependentConeError,
     DuplicateConeError,
     DuplicateRayError,
+    FanValidationError,
     NonPrimitiveRayError,
     NotCompleteError,
     NotSmoothError,
@@ -33,7 +45,8 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import interiors_overlap
+from toricfans.fan import _properly_glued, interiors_overlap
+from toricfans.lp import FeasiblePoint, feasible_by_basis_enumeration, solve_system
 
 
 class TestValidation:
@@ -103,6 +116,124 @@ class TestValidation:
         w = build("W7_5")
         assert interiors_overlap(w.rays, (0, 1, 3), (0, 1, 6))
         assert not interiors_overlap(w.rays, (0, 1, 2), (0, 1, 3))
+
+    def test_interiors_overlap_rejects_degenerate_cones(self):
+        rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+        for pair in [((0, 1, 2), (0, 1, 3)), ((0, 1, 3), (0, 1, 2))]:
+            with pytest.raises(ValueError):
+                interiors_overlap(rays, *pair)
+
+    @pytest.mark.parametrize("dim", [2, 4, 0, "3", 3.0, True, None])
+    def test_dimension_must_be_three(self, dim):
+        with pytest.raises(FanValidationError, match="dimension must be 3"):
+            validate_fan(dim, P3_RAYS, P3_CONES)
+
+
+# Independent oracles for the two cone predicates: the Fourier-Motzkin
+# formulations they replaced, decided by the certified solver and by
+# basic-solution enumeration, which must agree.
+
+
+def _glued_rows(rays, cone_a, cone_b):
+    # h @ shared == 0, h @ a >= 1, -h @ b >= 1
+    shared = sorted(set(cone_a) & set(cone_b))
+    rows = []
+    for i in shared:
+        rows += [rays[i], tuple(-x for x in rays[i])]
+    rows += [rays[i] for i in cone_a if i not in shared]
+    rows += [tuple(-x for x in rays[i]) for i in cone_b if i not in shared]
+    rhs = [0] * (2 * len(shared)) + [1] * (len(rows) - 2 * len(shared))
+    return rows, rhs
+
+
+def _overlap_rows(rays, cone_a, cone_b):
+    # x = sum(l_k * a_k) with l >= 1 and its coordinates in cone_b >= 1
+    coords = [rational.solve_columns([rays[i] for i in cone_b], rays[i]) for i in cone_a]
+    rows = [tuple(1 if k == j else 0 for k in range(3)) for j in range(3)]
+    rows += [rational.integerize([coords[k][j] for k in range(3)]) for j in range(3)]
+    return rows, [1] * len(rows)
+
+
+def _both_oracles(rows, rhs):
+    certified = isinstance(solve_system(rows, rhs), FeasiblePoint)
+    assert feasible_by_basis_enumeration(rows, rhs) == certified
+    return certified
+
+
+def _oracle_verdicts(rays, cone_a, cone_b, decide=_both_oracles):
+    return (
+        decide(*_glued_rows(rays, cone_a, cone_b)),
+        decide(*_overlap_rows(rays, cone_a, cone_b)),
+    )
+
+
+def _check_against_oracle(rays, cone_a, cone_b, verdicts):
+    glued, overlap = verdicts
+    assert _properly_glued(rays, cone_a, cone_b) == glued
+    assert interiors_overlap(rays, cone_a, cone_b) == overlap
+    return overlap
+
+
+_coordinate = st.integers(-3, 3)
+_vector = st.tuples(_coordinate, _coordinate, _coordinate)
+
+
+@st.composite
+def _cone_pairs(draw):
+    shared = draw(st.integers(0, 2))
+    rays = draw(st.lists(_vector, min_size=6 - shared, max_size=6 - shared))
+    cone_a = (0, 1, 2)
+    cone_b = tuple(range(3 - shared, 6 - shared))
+    for cone in (cone_a, cone_b):
+        if rational.determinant([rays[i] for i in cone]) == 0:
+            # redraw instead of rejecting: keeps degenerate draws from
+            # exhausting the health checks
+            rays[cone[-1]] = draw(_vector.filter(lambda v: v != (0, 0, 0)))
+    return rays, cone_a, cone_b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cone_pairs())
+def test_cone_predicates_match_lp_oracles(pair):
+    rays, cone_a, cone_b = pair
+    assume(all(rational.determinant([rays[i] for i in c]) for c in (cone_a, cone_b)))
+    for x, y in [(cone_a, cone_b), (cone_b, cone_a)]:
+        _check_against_oracle(rays, x, y, _oracle_verdicts(rays, x, y))
+
+
+def test_cone_predicates_match_lp_oracle_on_catalog_grid():
+    # Every pair of maximal cones, plus each wall's side cones against the
+    # two cones that exchanging the wall would put in their place. The
+    # certified solver decides alone here, once per distinct pair of ray
+    # triples: the grid's families share most of their cones.
+    cache = {}
+
+    def check(rays, cone_a, cone_b):
+        key = tuple(rays[i] for i in cone_a + cone_b)
+        if key not in cache:
+            cache[key] = _oracle_verdicts(
+                rays, cone_a, cone_b,
+                lambda rows, rhs: isinstance(solve_system(rows, rhs), FeasiblePoint),
+            )
+        return _check_against_oracle(rays, cone_a, cone_b, cache[key])
+
+    pairs = 0
+    overlaps = 0
+    for fid, params in CATALOG_GRID:
+        fan = build(fid, params)
+        for cone_a, cone_b in itertools.combinations(fan.max_cones, 2):
+            assert not check(fan.rays, cone_a, cone_b)
+            pairs += 1
+        for wall in walls(fan):
+            c, d = wall.off_rays
+            for keep in wall.rays:
+                swapped = tuple(sorted((c, d, keep)))
+                if rational.determinant([fan.rays[i] for i in swapped]) == 0:
+                    continue
+                for side in wall.side_cones:
+                    overlaps += check(fan.rays, side, swapped)
+                    pairs += 1
+    assert 0 < overlaps < pairs
 
 
 class TestPredicates:
@@ -175,6 +306,26 @@ class TestPrimitiveCollections:
         collections = primitive_collections(build("Z13pp", (2, 7, 4, 2)))
         for pair in [(0, 2), (1, 5), (3, 7), (4, 6)]:
             assert pair in collections
+
+    def test_matches_uncapped_scan(self):
+        def brute_force(fan):
+            n = len(fan.rays)
+
+            def is_face(s):
+                return any(s <= cs for cs in fan.cone_sets)
+
+            return tuple(
+                combo
+                for size in range(2, n + 1)
+                for combo in itertools.combinations(range(n), size)
+                if not is_face(frozenset(combo))
+                and all(is_face(frozenset(combo) - {i}) for i in combo)
+            )
+
+        fans = [build(fid, params) for fid, params in CATALOG_GRID]
+        fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+        for fan in fans:
+            assert primitive_collections(fan) == brute_force(fan)
 
     def test_relations_on_w75(self):
         w = build("W7_5")

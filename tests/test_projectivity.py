@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import CATALOG_INSTANCES
+import toricfans
 from toricfans import (
     build,
     effective_ample_obstruction,
@@ -183,3 +188,38 @@ def test_solver_against_basis_enumeration_oracle():
         free = _gauge_columns(fan)
         rows = [tuple(q.coeffs[i] for i in free) for q in qs]
         assert feasible_by_basis_enumeration(rows, [1] * len(rows)) == is_projective(fan)[0]
+
+
+_BROKEN_VERIFIER_SCRIPT = """
+import toricfans.projectivity as p
+from toricfans import build
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+p.verify_certificate = lambda fan, cert: False
+p.verify_obstruction = lambda fan, witness: False
+for call in (
+    lambda: p.is_projective(build("W7_5")),
+    lambda: p.is_projective(build("Z10")),
+    lambda: p.effective_ample_obstruction(build("W7_5")),
+):
+    try:
+        call()
+    except AssertionError:
+        print("raised")
+    else:
+        print("silent")
+"""
+
+
+def test_reverification_survives_python_O():
+    # a certificate or obstruction that fails re-verification must raise even
+    # with assert statements compiled out
+    src = str(Path(toricfans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_VERIFIER_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["raised"] * 3
