@@ -3,7 +3,11 @@
 A fan is stored as its list of primitive ray generators together with the
 maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
 Fans are immutable after validation; every operation is a pure function
-returning new values, so fans are safe to share between threads.
+returning new values, so fans are safe to share between threads. A `Fan`
+only adds lazily built lookup tables (`cone_sets`, `ray_index`,
+`face_census`), which are the same whichever thread builds them and are
+never mutated; wall circuits are recomputed on each call from four 3x3
+determinants (`wall_circuit`).
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -71,10 +74,6 @@ class Fan:
                 census.setdefault(face, []).append(pos)
         return {f: tuple(ps) for f, ps in census.items()}
 
-    @cached_property
-    def _circuit_cache(self) -> dict[ConeTuple, tuple[int, ...]]:
-        return {}
-
 
 @dataclass(frozen=True)
 class Wall:
@@ -107,18 +106,24 @@ class PrimitiveRelation:
 def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     """Check raw ray/cone data and return the canonical `Fan`.
 
-    Only ``dim == 3`` is accepted. All geometric checks (independence,
-    pairwise proper gluing) run in exact integer arithmetic. Cones are
-    stored sorted, the cone list sorted lexicographically.
+    Only ``dim == 3`` is accepted. ``raw_rays``, ``raw_cones`` and each ray
+    and cone must be lists or tuples, and every coordinate and ray index an
+    ``int``: bools, floats and strings are rejected, not converted. All
+    geometric checks (independence, pairwise proper gluing) run in exact
+    integer arithmetic. Cones are stored sorted, the cone list sorted
+    lexicographically.
     """
     if not isinstance(dim, int) or dim != 3:
         raise FanValidationError(f"dimension must be 3, got {dim!r}")
+    for name, raw in (("rays", raw_rays), ("max_cones", raw_cones)):
+        if not isinstance(raw, (list, tuple)):
+            raise FanValidationError(f"{name} must be a list, got {raw!r}")
 
     rays: list[IntVec] = []
     for raw in raw_rays:
-        v = tuple(int(x) for x in raw)
-        if len(v) != dim or any(x != y for x, y in zip(v, raw)):
-            raise FanValidationError(f"ray {tuple(raw)} is not an integer {dim}-vector")
+        if not _is_int_list(raw) or len(raw) != dim:
+            raise FanValidationError(f"ray {raw!r} is not an integer {dim}-vector")
+        v = tuple(raw)
         if not rational.is_primitive(v):
             raise NonPrimitiveRayError(f"ray {v} is zero or not primitive")
         rays.append(v)
@@ -130,7 +135,9 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
 
     cones: list[ConeTuple] = []
     for raw in raw_cones:
-        cone = tuple(sorted(int(i) for i in raw))
+        if not _is_int_list(raw):
+            raise FanValidationError(f"maximal cone {raw!r} is not a list of ray indices")
+        cone = tuple(sorted(raw))
         if len(set(cone)) != len(cone) or len(cone) != dim:
             raise ConeSizeError(
                 f"maximal cone {tuple(raw)} must have exactly {dim} distinct rays"
@@ -155,6 +162,11 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
             raise OverlapError(ca, cb)
 
     return Fan(dim, tuple(rays), tuple(cones))
+
+
+def _is_int_list(raw) -> bool:
+    """A list or tuple of ints; ``type`` is exact so that bools are rejected."""
+    return isinstance(raw, (list, tuple)) and all(type(x) is int for x in raw)
 
 
 def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
@@ -270,21 +282,21 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     This is the unique (up to scale) linear dependence among the dim+1 rays of
     the wall's two side cones, normalized primitive integral with strictly
     positive entries on both off-wall rays. For smooth fans both off entries
-    are 1.
+    are 1. For wall rays a, b and off rays c, d, det(b,c,d) a - det(a,c,d) b
+    + det(a,b,d) c - det(a,b,c) d = 0, which fixes it up to sign and gcd.
     """
-    cached = fan._circuit_cache.get(wall.rays)
-    if cached is not None:
-        return cached
-    basis = [fan.rays[i] for i in wall.rays] + [fan.rays[wall.off_rays[0]]]
-    coords = rational.solve_columns(basis, fan.rays[wall.off_rays[1]])
-    lam: dict[int, Fraction] = {i: -Fraction(c) for i, c in zip(wall.rays, coords)}
-    lam[wall.off_rays[0]] = -Fraction(coords[-1])
-    lam[wall.off_rays[1]] = Fraction(1)
-    dense = rational.integerize([lam.get(i, 0) for i in range(len(fan.rays))])
-    if not (dense[wall.off_rays[0]] > 0 and dense[wall.off_rays[1]] > 0):
+    a, b, c, d = (fan.rays[i] for i in wall.rays + wall.off_rays)
+    det = rational.determinant
+    lam = [det((b, c, d)), -det((a, c, d)), det((a, b, d)), -det((a, b, c))]
+    if lam[2] < 0:
+        lam = [-x for x in lam]
+    if not (lam[2] > 0 and lam[3] > 0):
         raise AssertionError(f"circuit of wall {wall.rays} is not positive on its off rays")
-    fan._circuit_cache[wall.rays] = dense
-    return dense
+    g = rational.vec_gcd(lam)
+    dense = [0] * len(fan.rays)
+    for i, x in zip(wall.rays + wall.off_rays, lam):
+        dense[i] = x // g
+    return tuple(dense)
 
 
 def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:
@@ -350,6 +362,8 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     with the facets not containing it; all other cones are untouched.
     """
     v = tuple(int(x) for x in new_ray)
+    if len(v) != fan.dim:
+        raise FanValidationError(f"subdivision ray {v} is not a {fan.dim}-vector")
     if not rational.is_primitive(v):
         raise NonPrimitiveRayError(f"subdivision ray {v} is zero or not primitive")
     if v in fan.ray_index:
@@ -397,9 +411,9 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     if simple and len(star) == 3 and len(vertices) == 3:
         try:
             coords = rational.solve_columns([fan.rays[i] for i in vertices], r)
-        except ValueError:
-            coords = None
-        if coords is None or not all(c > 0 for c in coords):
+        except ValueError:  # the link rays are coplanar
+            coords = (0,)
+        if not all(c > 0 for c in coords):
             raise UnsupportedStarPatternError(
                 f"ray {ray_index} is not interior to the cone on its link"
             )
@@ -410,11 +424,7 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
             p for p in itertools.combinations(vertices, 2) if p not in edge_set
         ]
         for a, b in diagonals:
-            try:
-                coords = rational.solve_columns([fan.rays[a], fan.rays[b]], r)
-            except ValueError:
-                continue
-            if coords is not None and all(c > 0 for c in coords):
+            if _in_open_2cone(r, fan.rays[a], fan.rays[b]):
                 others = [i for i in vertices if i not in (a, b)]
                 replacement = [
                     tuple(sorted((a, b, others[0]))),
@@ -434,6 +444,18 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     new_rays = [v for i, v in enumerate(fan.rays) if i != ray_index]
     new_cones = [tuple(sorted(remap[i] for i in cone)) for cone in keep + replacement]
     return validate_fan(fan.dim, new_rays, new_cones)
+
+
+def _in_open_2cone(r: IntVec, a: IntVec, b: IntVec) -> bool:
+    """Whether a, b are independent and r = s a + t b with s, t > 0: for
+    n = a x b, r is in their span iff n @ r == 0 (n != 0), and then
+    (r x b) @ n = s |n|^2 and (a x r) @ n = t |n|^2, both 0 if n == 0."""
+    n = rational.cross3(a, b)
+    return (
+        rational.dot(n, r) == 0
+        and rational.dot(rational.cross3(r, b), n) > 0
+        and rational.dot(rational.cross3(a, r), n) > 0
+    )
 
 
 def canonical_key(fan: Fan):

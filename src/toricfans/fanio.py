@@ -2,10 +2,12 @@
 
 A fan file is one JSON document with fields ``dim`` (the int 3), ``rays``
 (list of integer vectors) and ``max_cones`` (list of lists of 0-based ray
-indices). Serialization is canonical: each cone ascending, cone list
-lexicographic, fixed key order, two-space indent, trailing newline;
-re-reading and re-writing a file reproduces it byte for byte. Rationals
-appear as exact strings like ``"3"`` or ``"-5/2"``.
+indices). Every coordinate and index must be a JSON integer: ``true``,
+``2.0`` and ``"2"`` are rejected, not converted. Serialization is
+canonical: each cone ascending, cone list lexicographic, fixed key order,
+two-space indent, trailing newline; re-reading and re-writing a file
+reproduces it byte for byte. Rationals appear as exact strings like ``"3"``
+or ``"-5/2"``.
 
 Ray indices inside documents are 0-based; human-readable ``label`` fields use
 the 1-based v1..vN names.
@@ -49,11 +51,15 @@ def fan_to_doc(fan: Fan) -> dict:
 
 
 def fan_from_doc(doc: dict) -> Fan:
+    if not isinstance(doc, dict):
+        raise FanValidationError(
+            f"a fan document must be a JSON object, not {type(doc).__name__}"
+        )
     try:
         dim = doc["dim"]
         rays = doc["rays"]
         cones = doc["max_cones"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise FanValidationError(f"fan document is missing field {exc}") from None
     return validate_fan(dim, rays, cones)
 

@@ -2,13 +2,19 @@
 
 Everything works on plain tuples/lists of ``int`` or ``fractions.Fraction``;
 no floating point is used anywhere. Matrices are given as sequences of rows.
+
+The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`
+and the 3x3 Cramer solve `solve_columns`. `int_det` and `rref` serve the LP
+layer's basis-enumeration oracle and the span check of enumeration.
+`integerize` has no caller in the package; tests use it as a reference and
+perfbench's tracer looks the name up.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 Scalar = int | Fraction
 Vector = tuple[Scalar, ...]
@@ -101,40 +107,19 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[i
     return a, pivots
 
 
-def solve_columns(
-    vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
-) -> Optional[Vector]:
-    """Coefficients c with sum(c_i * vectors[i]) == target, or None.
+def solve_columns(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vector:
+    """Coefficients c with sum(c_i * vectors[i]) == target, by Cramer's rule.
 
-    The vectors must be linearly independent; returns None when the target
-    lies outside their span.
+    Needs three linearly independent 3-vectors and a 3-vector target; any
+    other shape, or dependent vectors, raise ValueError.
     """
-    n = len(target)
-    k = len(vectors)
-    if k == n == 3:
-        # Cramer on the square case, the common one
-        d = determinant([[vectors[j][i] for j in range(k)] for i in range(n)])
-        if d != 0:
-            coeffs = []
-            for j in range(k):
-                dj = determinant(
-                    [
-                        [target[i] if m == j else vectors[m][i] for m in range(k)]
-                        for i in range(n)
-                    ]
-                )
-                coeffs.append(Fraction(dj) / d)
-            return tuple(coeffs)
-    aug = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    a, pivots = rref(aug)
-    if k in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    if len(pivots) != k:
+    d = determinant(vectors)
+    if d == 0:
         raise ValueError("solve_columns requires linearly independent vectors")
-    coeffs = [Fraction(0)] * k
-    for r, p in enumerate(pivots):
-        coeffs[p] = a[r][k]
-    return tuple(coeffs)
+    return tuple(
+        Fraction(determinant([target if m == j else v for m, v in enumerate(vectors)]), d)
+        for j in range(3)
+    )
 
 
 def integerize(v: Sequence[Scalar]) -> tuple[int, ...]:

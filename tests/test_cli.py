@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricfans import build, canonical_key, fanio
 from toricfans.cli import main
 
@@ -90,6 +92,28 @@ class TestCheck:
             assert err.count("\n") == 1
             assert "dimension must be 3" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"dim": 3, "rays": 5, "max_cones": [[0, 1, 2]]}',
+            '{"dim": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": null}',
+            '{"dim": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": [5]}',
+            '{"dim": 3, "rays": [[true,0,0],[0,1,0],[0,0,1]], "max_cones": [[0,1,2]]}',
+            '{"dim": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": [[0,1,"2"]]}',
+            '{"dim": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": [[0,1,2.0]]}',
+            '{"dim": 3, "rays": [[1,0,0],[0,1,0],[0,0,1]], "max_cones": [[0,1,2.5]]}',
+            "[1, 2]",
+        ],
+    )
+    def test_mistyped_document_exits_two_with_one_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "typed.fan"
+        path.write_text(doc)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert json.loads(out)["valid"] is False
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "missing field" not in err
+
 
 class TestRoundTrip:
     def test_written_fans_reserialize_byte_identically(self, tmp_path, capsys):
@@ -126,6 +150,13 @@ class TestSurgeryCommands:
         code, _, err = run(capsys, "surgery", str(path), "--wall", "1,4")
         assert code == 2
         assert "not a wall" in err
+
+    @pytest.mark.parametrize("ray", ["1,1", "1,1,1,1"])
+    def test_subdivide_ray_of_wrong_length_exits_two(self, tmp_path, capsys, ray):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        code, _, err = run(capsys, "subdivide", str(path), "--ray", ray)
+        assert code == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_subdivide_and_contract_are_inverse(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "W7_5")

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,7 +47,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import _properly_glued, interiors_overlap
+from toricfans.fan import _in_open_2cone, _properly_glued, interiors_overlap
 from toricfans.lp import FeasiblePoint, feasible_by_basis_enumeration, solve_system
 
 
@@ -518,26 +520,60 @@ class TestChangeOfBasis:
                 assert primitive_collections(moved) == primitive_collections(fan)
 
 
-def test_wall_circuit_against_minor_formula():
-    # independent oracle: the kernel of four vectors in R^3 via signed
-    # 3x3 minors
-    from toricfans import rational
+def _circuit_by_solve(fan, wall):
+    # the general route: coordinates of the second off ray in the basis
+    # (wall rays, first off ray), made a primitive integer vector
+    basis = [fan.rays[i] for i in wall.rays] + [fan.rays[wall.off_rays[0]]]
+    coords = rational.solve_columns(basis, fan.rays[wall.off_rays[1]])
+    lam = {i: -c for i, c in zip(wall.rays + wall.off_rays[:1], coords)}
+    lam[wall.off_rays[1]] = 1
+    return rational.integerize([lam.get(i, 0) for i in range(len(fan.rays))])
 
-    for fid, params in [("W7_5", ()), ("Z13pp", (2, 7, 4, 2)), ("Z8", ())]:
-        fan = build(fid, params)
+
+def test_wall_circuit_against_solve_and_direct_evaluation():
+    fans = [build(fid, params) for fid, params in CATALOG_GRID]
+    fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+    # images under a determinant-2 map whose rays stay primitive: their rays
+    # span an index-2 sublattice, so every 3x3 minor is even before the gcd
+    m = [(1, 1, 0), (1, -1, 0), (0, 0, 1)]
+    fans += [
+        change_basis(fan, m)
+        for fan in fans
+        if all(rational.is_primitive(rational.mat_vec(m, v)) for v in fan.rays)
+    ]
+    for fan in fans:
         for wall in walls(fan):
-            involved = list(wall.rays) + list(wall.off_rays)
-            vs = [fan.rays[i] for i in involved]
-            minors = [
-                (-1) ** k * rational.determinant([vs[j] for j in range(4) if j != k])
-                for k in range(4)
-            ]
             lam = wall_circuit(fan, wall)
-            sparse = [lam[i] for i in involved]
-            scaled = rational.integerize(minors)
-            if scaled[2] < 0 or scaled[3] < 0:
-                scaled = tuple(-x for x in scaled)
-            assert tuple(sparse) == scaled
+            assert lam == _circuit_by_solve(fan, wall)
+            involved = wall.rays + wall.off_rays
             assert all(
-                lam[i] == 0 for i in range(len(fan.rays)) if i not in involved
+                sum(x * v[k] for x, v in zip(lam, fan.rays)) == 0 for k in range(3)
             )
+            assert math.gcd(*lam) == 1
+            assert all(lam[i] > 0 for i in wall.off_rays)
+            assert all(x == 0 for i, x in enumerate(lam) if i not in involved)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(-4, 4), min_size=9, max_size=9),
+    st.sampled_from(["free", "coplanar", "dependent"]),
+)
+def test_in_open_2cone_matches_fraction_solve(coords, shape):
+    a, b, r = (tuple(coords[k : k + 3]) for k in (0, 3, 6))
+    if shape == "coplanar":
+        r = tuple(coords[6] * x + coords[7] * y for x, y in zip(a, b))
+    elif shape == "dependent":
+        b = tuple(coords[3] * x for x in a)
+    # s a + t b = r in exact fractions: a 2x2 system in two independent
+    # coordinate rows, then the third row as a consistency check; dependent
+    # a, b (all 2x2 minors zero) never qualify
+    want = False
+    for i, j in itertools.combinations(range(3), 2):
+        det = a[i] * b[j] - a[j] * b[i]
+        if det:
+            s = Fraction(r[i] * b[j] - r[j] * b[i], det)
+            t = Fraction(a[i] * r[j] - a[j] * r[i], det)
+            want = all(s * a[k] + t * b[k] == r[k] for k in range(3)) and s > 0 and t > 0
+            break
+    assert _in_open_2cone(r, a, b) == want

@@ -51,11 +51,19 @@ def test_solve_columns_square():
     assert coeffs == (Fraction(1, 2), 1, 0)
 
 
-def test_solve_columns_rectangular():
-    assert rational.solve_columns([(1, 0, 0), (0, 1, 0)], (2, 3, 0)) == (2, 3)
-    assert rational.solve_columns([(1, 0, 0), (0, 1, 0)], (2, 3, 1)) is None
-    with pytest.raises(ValueError):
-        rational.solve_columns([(1, 0, 0), (2, 0, 0)], (1, 0, 0))
+def test_solve_columns_rejects_non_square_and_singular():
+    for vectors, target in [
+        ([(1, 0, 0), (0, 1, 0)], (2, 3, 0)),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], (2, 3, 0)),
+        ([(1, 0), (0, 1), (1, 1)], (2, 3)),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 3)),
+        # singular, with the target inside and outside the span
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 3, 0)),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 3, 1)),
+        ([(1, 2, 3), (2, 4, 6), (0, 0, 1)], (1, 2, 3)),
+    ]:
+        with pytest.raises(ValueError):
+            rational.solve_columns(vectors, target)
 
 
 def test_solve_columns_random_roundtrip():
