@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ArityMismatchError, UnknownFamilyError
-from .fan import Fan, validate_fan
+from .fan import Fan, _is_int_list, validate_fan
 
 
 def _cones(*triples):
@@ -227,13 +227,12 @@ def family(family_id: str) -> CatalogFamily:
 
 
 def _check_arity(fam: CatalogFamily, params) -> tuple[int, ...]:
-    params = tuple(int(p) for p in params)
-    if len(params) != len(fam.param_names):
+    if not _is_int_list(params) or len(params) != len(fam.param_names):
         raise ArityMismatchError(
-            f"{fam.family_id} takes parameters ({', '.join(fam.param_names)}), "
-            f"got {params}"
+            f"{fam.family_id} takes integer parameters ({', '.join(fam.param_names)}), "
+            f"got {params!r}"
         )
-    return params
+    return tuple(params)
 
 
 def build(family_id: str, params=()) -> Fan:

@@ -3,9 +3,11 @@
 Reads and writes the JSON fan file format, prints one JSON document per
 command on standard output (DOT for ``graph --dot``), and encodes verdicts in
 the exit status: 0 success, 1 a requested assertion failed (``--expect-*``),
-2 malformed input. Ray indices inside documents are 0-based; arguments such
-as ``--wall 1,7`` and ``--ray 2`` use the 1-based v1..vN labels that also
-appear in ``label`` fields.
+2 malformed input, 3 an internal consistency check failed (such as a
+certificate that does not re-verify), which is a bug in this package. Ray
+indices inside documents are 0-based; arguments such as ``--wall 1,7`` and
+``--ray 2`` use the 1-based v1..vN labels that also appear in ``label``
+fields.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .surgery import classify_wall, find_wall, perform_surgery
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _emit(doc) -> None:
@@ -360,6 +363,9 @@ def main(argv=None) -> int:
     except FanError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except AssertionError as exc:  # only this: a caller's own timeout must pass through
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

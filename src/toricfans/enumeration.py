@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 from . import rational
 from .errors import DegenerateRaysError, FanValidationError
-from .fan import Fan, canonical_key, interiors_overlap, is_complete, is_smooth, validate_fan
+from .fan import (
+    Fan,
+    _is_int_list,
+    canonical_key,
+    interiors_overlap,
+    is_complete,
+    is_smooth,
+    validate_fan,
+)
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,9 @@ def _seed_point(rays) -> tuple[int, int, int]:
 
 def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     """All smooth complete fans whose rays are exactly the given vectors."""
-    rays = tuple(tuple(int(x) for x in v) for v in raw_rays)
+    if not isinstance(raw_rays, (list, tuple)) or not all(map(_is_int_list, raw_rays)):
+        raise DegenerateRaysError("enumeration expects a list of integer ray vectors")
+    rays = tuple(map(tuple, raw_rays))
     if not rays or any(len(v) != 3 for v in rays):
         raise DegenerateRaysError("enumeration expects rays in dimension 3")
     if len(set(rays)) != len(rays):

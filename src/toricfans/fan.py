@@ -330,7 +330,9 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     cone; on smooth fans the resulting coefficients are positive integers. A
     zero sum is reported as a fiber-type relation with empty target.
     """
-    col = tuple(sorted(int(i) for i in collection))
+    if not _is_int_list(collection):
+        raise FanValidationError(f"collection {collection!r} is not a list of ray indices")
+    col = tuple(sorted(collection))
     if not is_smooth(fan):
         raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
     s = frozenset(col)
@@ -361,9 +363,9 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     Every maximal cone containing the ray is replaced by the joins of the ray
     with the facets not containing it; all other cones are untouched.
     """
-    v = tuple(int(x) for x in new_ray)
-    if len(v) != fan.dim:
-        raise FanValidationError(f"subdivision ray {v} is not a {fan.dim}-vector")
+    if not _is_int_list(new_ray) or len(new_ray) != fan.dim:
+        raise FanValidationError(f"subdivision ray {new_ray!r} is not an integer 3-vector")
+    v = tuple(new_ray)
     if not rational.is_primitive(v):
         raise NonPrimitiveRayError(f"subdivision ray {v} is zero or not primitive")
     if v in fan.ray_index:

@@ -178,8 +178,8 @@ def graph_to_doc(graph: SurgeryGraph) -> dict:
         ],
         "edges": [
             {
-                "source": key_digest(e.source),
-                "target": key_digest(e.target),
+                "source": key_digest(e.before_key),
+                "target": key_digest(e.after_key),
                 "wall": list(e.wall_rays),
                 "kind": e.kind.value,
                 "degree": e.degree,
@@ -198,7 +198,7 @@ def graph_to_dot(graph: SurgeryGraph) -> str:
     for e in graph.edges:
         label = f"{cone_label(e.wall_rays)} {e.kind.value} {e.degree}"
         lines.append(
-            f'  "{key_digest(e.source)}" -> "{key_digest(e.target)}" [label="{label}"];'
+            f'  "{key_digest(e.before_key)}" -> "{key_digest(e.after_key)}" [label="{label}"];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -90,32 +90,32 @@ def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
     Solves {d : circuit @ d >= 1 for every wall}; the strictness-to-1
     normalization is harmless because the system is homogeneous in d.
     """
-    _require_complete(fan)
     ineqs = wall_inequalities(fan)
     free = _gauge_columns(fan)
     rows = [tuple(q.coeffs[i] for i in free) for q in ineqs]
-    rhs = [1] * len(rows)
-    outcome = solve_system(rows, rhs)
+    outcome = solve_system(rows, [1] * len(rows))
     if isinstance(outcome, FeasiblePoint):
         d = [Fraction(0)] * len(fan.rays)
         for i, value in zip(free, outcome.x):
             d[i] = value
         cert = ProjectivityCertificate(feasible_d=tuple(d))
-        if not verify_certificate(fan, cert):
-            raise AssertionError("the ample divisor found does not re-verify")
-        return True, cert
-    mult = {
-        i: m for i, m in enumerate(outcome.multipliers) if m != 0
-    }
-    cert = ProjectivityCertificate(farkas=mult)
-    if not verify_certificate(fan, cert):
-        raise AssertionError("the Farkas certificate found does not re-verify")
-    return False, cert
+    else:
+        mult = {i: m for i, m in enumerate(outcome.multipliers) if m != 0}
+        cert = ProjectivityCertificate(farkas=mult)
+    if not _certificate_holds(ineqs, len(fan.rays), cert):
+        raise AssertionError("the projectivity certificate found does not re-verify")
+    return cert.feasible_d is not None, cert
 
 
 def verify_certificate(fan: Fan, cert: ProjectivityCertificate) -> bool:
     """Re-check a certificate by direct evaluation, independent of the solver."""
-    ineqs = wall_inequalities(fan)
+    return _certificate_holds(wall_inequalities(fan), len(fan.rays), cert)
+
+
+def _certificate_holds(
+    ineqs: Sequence[WallInequality], n: int, cert: ProjectivityCertificate
+) -> bool:
+    """Evaluate a certificate against the wall inequalities over n rays."""
     if cert.feasible_d is not None:
         d = cert.feasible_d
         return all(_evaluate(q.coeffs, d) >= 1 for q in ineqs)
@@ -123,7 +123,6 @@ def verify_certificate(fan: Fan, cert: ProjectivityCertificate) -> bool:
         return False
     if not cert.farkas or any(m < 0 for m in cert.farkas.values()):
         return False
-    n = len(fan.rays)
     combo = [Fraction(0)] * n
     for idx, m in cert.farkas.items():
         for j, c in enumerate(ineqs[idx].coeffs):
@@ -137,13 +136,11 @@ def _evaluate(coeffs: Sequence[int], d: Sequence) -> Fraction:
 
 def is_ample(fan: Fan, d) -> bool:
     """True when the divisor d is strictly positive on every wall circuit."""
-    _require_complete(fan)
     return all(_evaluate(q.coeffs, d) > 0 for q in wall_inequalities(fan))
 
 
 def is_nef(fan: Fan, d) -> bool:
     """Non-strict variant of `is_ample`."""
-    _require_complete(fan)
     return all(_evaluate(q.coeffs, d) >= 0 for q in wall_inequalities(fan))
 
 
@@ -153,7 +150,6 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
     False means every nef divisor is numerically trivial. One small exact LP
     per wall: {d nef, circuit_w @ d >= 1} for each wall w in turn.
     """
-    _require_complete(fan)
     ineqs = wall_inequalities(fan)
     free = _gauge_columns(fan)
     base_rows = [tuple(q.coeffs[i] for i in free) for q in ineqs]

@@ -1,8 +1,10 @@
 """Breadth-first search of the wall-surgery graph for a projective model.
 
-Nodes are fans on the fixed ray set, deduplicated by canonical key; edges
-are the flip/flop/anti-flip wall exchanges. `projectivize` stops at the
-first projective fan, so the returned sequence has minimum length over the
+Nodes are fans on the start fan's ray list, which wall exchanges never
+change, so a sorted cone tuple identifies a fan as its canonical key does.
+It is looked up before a fan is built, so each distinct fan is built and
+validated once. Edges are `SurgeryStep`s. `projectivize` stops at the first
+projective fan, so the returned sequence has minimum length over the
 explored edge relation, with ties broken by wall order and then discovery
 order. Failure at the depth bound proves nothing: the search is a
 semi-decision procedure.
@@ -15,7 +17,14 @@ from dataclasses import dataclass
 from .errors import NotCompleteError
 from .fan import Fan, canonical_key, is_complete, is_smooth, walls
 from .projectivity import is_projective
-from .surgery import MODIFIABLE, SurgeryStep, WallKind, classify_wall, perform_surgery
+from .surgery import (
+    MODIFIABLE,
+    SurgeryStep,
+    WallKind,
+    classify_wall,
+    exchanged_cones,
+    perform_surgery,
+)
 
 
 @dataclass(frozen=True)
@@ -36,67 +45,55 @@ class GraphNode:
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    source: tuple
-    target: tuple
-    wall_rays: tuple[int, ...]
-    kind: WallKind
-    degree: int
-
-
-@dataclass(frozen=True)
 class SurgeryGraph:
     nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
+    edges: tuple[SurgeryStep, ...]
 
 
-def _neighbors(fan: Fan, flops_only: bool):
-    for wall in walls(fan):
-        kind = classify_wall(fan, wall).kind
-        if kind not in MODIFIABLE:
-            continue
-        if flops_only and kind is not WallKind.FLOP:
-            continue
-        yield perform_surgery(fan, wall)
+def _explore(fan: Fan, max_depth: int, flops_only: bool):
+    """Breadth-first over the wall exchanges from `fan`, to `max_depth` steps.
+
+    Yields ``(route, child)`` for every edge in deterministic order: `route`
+    is the steps from `fan` ending with this edge, `child` the fan it reaches,
+    or None when that fan was reached before.
+    """
+    kinds = (WallKind.FLOP,) if flops_only else MODIFIABLE
+    seen = {fan.max_cones: canonical_key(fan)}
+    level: list[tuple[Fan, tuple[SurgeryStep, ...]]] = [(fan, ())]
+    for _ in range(max_depth):
+        next_level = []
+        for node, route in level:
+            node_key = seen[node.max_cones]
+            for wall in walls(node):
+                cls = classify_wall(node, wall)
+                if cls.kind not in kinds:
+                    continue
+                cones = exchanged_cones(node, wall)
+                if cones in seen:
+                    child = None
+                    step = SurgeryStep(wall.rays, cls.kind, cls.degree, node_key, seen[cones])
+                else:
+                    child, step = perform_surgery(node, wall)
+                    seen[cones] = step.after_key
+                    next_level.append((child, route + (step,)))
+                yield route + (step,), child
+        level = next_level
 
 
 def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> SearchResult:
     """Search for a projective fan within `max_depth` wall exchanges."""
     if not is_complete(fan):
         raise NotCompleteError("projectivize needs a complete fan")
-    start_key = canonical_key(fan)
     if is_projective(fan)[0]:
         return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
-    seen = {start_key}
-    trail: dict[tuple, tuple[tuple, SurgeryStep]] = {}
-    level: list[tuple[Fan, tuple]] = [(fan, start_key)]
-    visited = 1
-    depth_reached = 0
-    for depth in range(1, max_depth + 1):
-        next_level: list[tuple[Fan, tuple]] = []
-        for node, node_key in level:
-            for child, step in _neighbors(node, flops_only):
-                key = step.after_key
-                if key in seen:
-                    continue
-                seen.add(key)
-                visited += 1
-                trail[key] = (node_key, step)
-                depth_reached = depth
-                if is_projective(child)[0]:
-                    steps = []
-                    cursor = key
-                    while cursor != start_key:
-                        cursor, back = trail[cursor]
-                        steps.append(back)
-                    steps.reverse()
-                    return SearchResult(
-                        True, tuple(steps), child, is_smooth(child), visited, depth
-                    )
-                next_level.append((child, key))
-        level = next_level
-        if not level:
-            break
+    visited, depth_reached = 1, 0
+    for route, child in _explore(fan, max_depth, flops_only):
+        if child is None:
+            continue
+        visited += 1
+        depth_reached = len(route)
+        if is_projective(child)[0]:
+            return SearchResult(True, route, child, is_smooth(child), visited, depth_reached)
     return SearchResult(False, (), fan, is_smooth(fan), visited, depth_reached)
 
 
@@ -104,25 +101,11 @@ def surgery_graph(fan: Fan, max_depth: int, flops_only: bool = False) -> Surgery
     """The surgery graph out to a fixed depth, in deterministic BFS order."""
     if not is_complete(fan):
         raise NotCompleteError("surgery_graph needs a complete fan")
-    start_key = canonical_key(fan)
-    nodes = [GraphNode(start_key, is_smooth(fan), is_projective(fan)[0])]
-    node_keys = {start_key}
-    edges: list[GraphEdge] = []
-    level = [(fan, start_key)]
-    for _ in range(max_depth):
-        next_level = []
-        for node, node_key in level:
-            for child, step in _neighbors(node, flops_only):
-                key = step.after_key
-                edges.append(
-                    GraphEdge(node_key, key, step.wall_rays, step.kind, step.degree)
-                )
-                if key in node_keys:
-                    continue
-                node_keys.add(key)
-                nodes.append(GraphNode(key, is_smooth(child), is_projective(child)[0]))
-                next_level.append((child, key))
-        level = next_level
-        if not level:
-            break
+    nodes = [GraphNode(canonical_key(fan), is_smooth(fan), is_projective(fan)[0])]
+    edges: list[SurgeryStep] = []
+    for route, child in _explore(fan, max_depth, flops_only):
+        step = route[-1]
+        edges.append(step)
+        if child is not None:
+            nodes.append(GraphNode(step.after_key, is_smooth(child), is_projective(child)[0]))
     return SurgeryGraph(tuple(nodes), tuple(edges))

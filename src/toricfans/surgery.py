@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import NotModifiableWallError, SurgeryInvalidError, FanValidationError
-from .fan import Fan, Wall, canonical_key, validate_fan, wall_circuit, walls
+from .fan import Fan, Wall, _is_int_list, canonical_key, validate_fan, wall_circuit, walls
 
 
 class WallKind(enum.Enum):
@@ -37,7 +37,7 @@ class WallClassification:
 
 @dataclass(frozen=True)
 class SurgeryStep:
-    """One performed wall exchange, replayable on the before-fan."""
+    """One wall exchange, replayable on the before-fan; the surgery graph's edge."""
 
     wall_rays: tuple[int, ...]
     kind: WallKind
@@ -61,6 +61,15 @@ def classify_wall(fan: Fan, wall: Wall) -> WallClassification:
     return WallClassification(kind, degree)
 
 
+def exchanged_cones(fan: Fan, wall: Wall) -> tuple[tuple[int, ...], ...]:
+    """The maximal cones after exchanging the side cones (a,b,c), (a,b,d) of
+    a wall for (c,d,a), (c,d,b), sorted as `validate_fan` stores them."""
+    c, d = wall.off_rays
+    cones = [cone for cone in fan.max_cones if cone not in wall.side_cones]
+    cones += [tuple(sorted((c, d, keep_ray))) for keep_ray in wall.rays]
+    return tuple(sorted(cones))
+
+
 def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
     """Exchange the two side cones of a modifiable wall.
 
@@ -74,13 +83,8 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
         raise NotModifiableWallError(
             f"wall {wall.rays} has a divisorial or fiber-type circuit"
         )
-    c, d = wall.off_rays
-    drop = set(wall.side_cones)
-    cones = [cone for cone in fan.max_cones if cone not in drop]
-    for keep_ray in wall.rays:
-        cones.append(tuple(sorted((c, d, keep_ray))))
     try:
-        result = validate_fan(fan.dim, fan.rays, cones)
+        result = validate_fan(fan.dim, fan.rays, exchanged_cones(fan, wall))
     except FanValidationError as exc:  # pragma: no cover - assertion-grade
         raise SurgeryInvalidError(f"wall exchange produced an invalid fan: {exc}")
     step = SurgeryStep(
@@ -95,7 +99,9 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
 
 def find_wall(fan: Fan, ray_pair) -> Wall:
     """The wall spanned by the given ray indices, if present."""
-    target = tuple(sorted(int(i) for i in ray_pair))
+    if not _is_int_list(ray_pair):
+        raise FanValidationError(f"wall {ray_pair!r} is not a list of ray indices")
+    target = tuple(sorted(ray_pair))
     for wall in walls(fan):
         if wall.rays == target:
             return wall

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from toricfans import build, canonical_key, fanio
+from toricfans import build, canonical_key, fanio, projectivity
 from toricfans.cli import main
 
 
@@ -113,6 +113,18 @@ class TestCheck:
         assert json.loads(out)["valid"] is False
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "missing field" not in err
+
+
+    def test_failed_reverification_exits_three_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        monkeypatch.setattr(projectivity, "_certificate_holds", lambda ineqs, n, cert: False)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "does not re-verify" in err and "Traceback" not in err
 
 
 class TestRoundTrip:

@@ -20,6 +20,8 @@ from toricfans import (
     canonical_key,
     change_basis,
     contract_ray,
+    enumerate_smooth_complete_fans,
+    find_wall,
     is_complete,
     is_smooth,
     picard_number,
@@ -32,7 +34,9 @@ from toricfans import (
     walls,
 )
 from toricfans.errors import (
+    ArityMismatchError,
     ConeSizeError,
+    DegenerateRaysError,
     DependentConeError,
     DuplicateConeError,
     DuplicateRayError,
@@ -129,6 +133,35 @@ class TestValidation:
     def test_dimension_must_be_three(self, dim):
         with pytest.raises(FanValidationError, match="dimension must be 3"):
             validate_fan(dim, P3_RAYS, P3_CONES)
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda: star_subdivide(build("W7_5"), [1.9, True, 1]), FanValidationError),
+            (lambda: star_subdivide(build("W7_5"), (1, 1, "1")), FanValidationError),
+            (
+                lambda: enumerate_smooth_complete_fans(
+                    [[1.5, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+                ),
+                DegenerateRaysError,
+            ),
+            (lambda: enumerate_smooth_complete_fans(iter(P3_RAYS)), DegenerateRaysError),
+            (lambda: find_wall(build("Z13pp", (2, 7, 4, 2)), (0.5, 3)), FanValidationError),
+            (lambda: build("Z2", (1.9,)), ArityMismatchError),
+            (lambda: build("Z2", ("1",)), ArityMismatchError),
+            (lambda: build("Z2", (True,)), ArityMismatchError),
+            (lambda: primitive_relation(build("W7_5"), ("1", 5)), FanValidationError),
+            (lambda: primitive_relation(build("W7_5"), (1.0, 5)), FanValidationError),
+        ],
+        ids=[
+            "subdivide-float-bool", "subdivide-str", "enumerate-float", "enumerate-iterator",
+            "find_wall-float", "build-float", "build-str", "build-bool",
+            "relation-str", "relation-float",
+        ],
+    )
+    def test_library_inputs_are_rejected_not_converted(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 # Independent oracles for the two cone predicates: the Fourier-Motzkin

@@ -196,7 +196,7 @@ from toricfans import build
 
 if __debug__:
     raise SystemExit("not running under python -O")
-p.verify_certificate = lambda fan, cert: False
+p._certificate_holds = lambda ineqs, n, cert: False
 p.verify_obstruction = lambda fan, witness: False
 for call in (
     lambda: p.is_projective(build("W7_5")),

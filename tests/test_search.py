@@ -1,17 +1,24 @@
 import pytest
 
+from conftest import CATALOG_GRID
 from toricfans import (
     build,
     canonical_key,
+    classify_wall,
+    expected_projectivity,
     find_wall,
     is_projective,
+    is_smooth,
     perform_surgery,
     projectivize,
     surgery_graph,
     validate_fan,
+    walls,
 )
+from toricfans import surgery
 from toricfans.errors import NotCompleteError
-from toricfans.surgery import WallKind
+from toricfans.search import GraphNode, SearchResult, SurgeryGraph
+from toricfans.surgery import MODIFIABLE, WallKind
 
 
 def replay(fan, steps):
@@ -111,4 +118,93 @@ class TestSurgeryGraph:
     def test_edges_reference_known_nodes_at_depth_two(self):
         graph = surgery_graph(build("W7_5"), 2)
         keys = {node.key for node in graph.nodes}
-        assert all(e.source in keys and e.target in keys for e in graph.edges)
+        assert all(e.before_key in keys and e.after_key in keys for e in graph.edges)
+
+
+# The search as first written: every modifiable wall is exchanged with
+# `perform_surgery`, and fans are deduplicated by their canonical key.
+def _reference_children(fan, flops_only):
+    for wall in walls(fan):
+        kind = classify_wall(fan, wall).kind
+        if kind in MODIFIABLE and not (flops_only and kind is not WallKind.FLOP):
+            yield perform_surgery(fan, wall)
+
+
+def reference_projectivize(fan, max_depth, flops_only):
+    if is_projective(fan)[0]:
+        return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
+    start_key = canonical_key(fan)
+    seen = {start_key}
+    trail = {}
+    level = [fan]
+    visited = 1
+    depth_reached = 0
+    for depth in range(1, max_depth + 1):
+        next_level = []
+        for node in level:
+            for child, step in _reference_children(node, flops_only):
+                if step.after_key in seen:
+                    continue
+                seen.add(step.after_key)
+                trail[step.after_key] = step
+                visited += 1
+                depth_reached = depth
+                if is_projective(child)[0]:
+                    steps = [step]
+                    while steps[-1].before_key != start_key:
+                        steps.append(trail[steps[-1].before_key])
+                    return SearchResult(
+                        True, tuple(reversed(steps)), child, is_smooth(child), visited, depth
+                    )
+                next_level.append(child)
+        level = next_level
+    return SearchResult(False, (), fan, is_smooth(fan), visited, depth_reached)
+
+
+def reference_surgery_graph(fan, max_depth, flops_only):
+    nodes = [GraphNode(canonical_key(fan), is_smooth(fan), is_projective(fan)[0])]
+    keys = {nodes[0].key}
+    edges = []
+    level = [fan]
+    for _ in range(max_depth):
+        next_level = []
+        for node in level:
+            for child, step in _reference_children(node, flops_only):
+                edges.append(step)
+                if step.after_key not in keys:
+                    keys.add(step.after_key)
+                    projective = is_projective(child)[0]
+                    nodes.append(GraphNode(step.after_key, is_smooth(child), projective))
+                    next_level.append(child)
+        level = next_level
+    return SurgeryGraph(tuple(nodes), tuple(edges))
+
+
+_NON_PROJECTIVE = [(f, p) for f, p in CATALOG_GRID if not expected_projectivity(f, p)]
+REFERENCE_FANS = [("W7_5", ()), ("Z13pp", (2, 7, 4, 2)), ("Z5pp", ())] + _NON_PROJECTIVE[5::40]
+
+
+@pytest.mark.parametrize("fid,params", REFERENCE_FANS)
+def test_search_and_graph_match_reference_bfs(fid, params):
+    fan = build(fid, params)
+    for depth in (1, 2, 3):
+        for flops_only in (False, True):
+            assert surgery_graph(fan, depth, flops_only) == reference_surgery_graph(
+                fan, depth, flops_only
+            )
+            assert projectivize(fan, depth, flops_only) == reference_projectivize(
+                fan, depth, flops_only
+            )
+
+
+def test_graph_validates_each_new_fan_once(monkeypatch):
+    calls = []
+
+    def counting_validate_fan(*args):
+        calls.append(args)
+        return validate_fan(*args)
+
+    monkeypatch.setattr(surgery, "validate_fan", counting_validate_fan)
+    graph = surgery_graph(build("Z13pp", (2, 7, 4, 2)), 3)
+    assert len(graph.edges) > len(graph.nodes) - 1  # some edges reach a seen fan
+    assert len(calls) == len(graph.nodes) - 1
