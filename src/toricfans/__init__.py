@@ -34,7 +34,6 @@ from .fan import (
 from .projectivity import (
     ObstructionWitness,
     ProjectivityCertificate,
-    WallInequality,
     effective_ample_obstruction,
     is_ample,
     is_nef,
@@ -42,7 +41,6 @@ from .projectivity import (
     nontrivial_nef_exists,
     verify_certificate,
     verify_obstruction,
-    wall_inequalities,
 )
 from .search import SearchResult, SurgeryGraph, projectivize, surgery_graph
 from .surgery import (
@@ -68,7 +66,6 @@ __all__ = [
     "SurgeryStep",
     "Wall",
     "WallClassification",
-    "WallInequality",
     "WallKind",
     "build",
     "canonical_key",
@@ -99,7 +96,6 @@ __all__ = [
     "verify_certificate",
     "verify_obstruction",
     "wall_circuit",
-    "wall_inequalities",
     "walls",
 ]
 

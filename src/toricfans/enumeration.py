@@ -84,8 +84,7 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         raise DegenerateRaysError("rays must be pairwise distinct")
     if not all(rational.is_primitive(v) for v in rays):
         raise DegenerateRaysError("rays must be primitive")
-    _, pivots = rational.rref(list(rays))
-    if len(pivots) != 3:
+    if not any(rational.determinant(t) for t in itertools.combinations(rays, 3)):
         raise DegenerateRaysError("rays do not span R^3")
 
     n = len(rays)

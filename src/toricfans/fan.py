@@ -397,8 +397,8 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     (a, b, x) and (a, b, y). Star subdivision along the removed ray undoes
     the contraction exactly.
     """
-    if ray_index < 0 or ray_index >= len(fan.rays):
-        raise FanValidationError(f"no ray with index {ray_index}")
+    if type(ray_index) is not int or not 0 <= ray_index < len(fan.rays):
+        raise FanValidationError(f"no ray with index {ray_index!r}")
     star = [cone for cone in fan.max_cones if ray_index in cone]
     keep = [cone for cone in fan.max_cones if ray_index not in cone]
     link_edges = [tuple(i for i in cone if i != ray_index) for cone in star]

@@ -4,10 +4,11 @@ Systems have the form ``A x >= b``. The one decision procedure is
 Fourier-Motzkin elimination over the rationals with multiplier bookkeeping
 (`solve_system`): a feasible system yields an explicit rational point, an
 infeasible one yields nonnegative Farkas multipliers ``mu`` with
-``mu @ A == 0`` and ``mu @ b > 0``. Both witnesses can be re-verified by
-direct evaluation, independently of the elimination. `fm_feasible` is the
-same decision without the witness. Cone gluing and overlap in `fan` do not
-use this module: they are decided by an exact 3-D separation test there.
+``mu @ A == 0`` and ``mu @ b > 0``. `verify_feasible` and `verify_farkas`,
+the package's only certificate checks, re-verify them by direct evaluation,
+independently of the elimination; a witness of the wrong length raises
+ValueError. `fm_feasible` is the same decision without the witness. Cone
+gluing and overlap in `fan` are decided by an exact 3-D separation test.
 
 `feasible_by_basis_enumeration` is a deliberately separate oracle (basic
 solutions of row subsets) used to cross-check the eliminator in tests.
@@ -138,7 +139,8 @@ def fm_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
 
 def verify_feasible(rows, rhs, x) -> bool:
     return all(
-        sum(c * v for c, v in zip(row, x)) >= r for row, r in zip(rows, rhs)
+        sum(c * v for c, v in zip(row, x, strict=True)) >= r
+        for row, r in zip(rows, rhs, strict=True)
     )
 
 
@@ -146,8 +148,8 @@ def verify_farkas(rows, rhs, multipliers) -> bool:
     if any(m < 0 for m in multipliers):
         return False
     n = len(rows[0]) if rows else 0
-    combo = [sum(m * row[j] for m, row in zip(multipliers, rows)) for j in range(n)]
-    total = sum(m * r for m, r in zip(multipliers, rhs))
+    combo = [sum(m * row[j] for m, row in zip(multipliers, rows, strict=True)) for j in range(n)]
+    total = sum(m * r for m, r in zip(multipliers, rhs, strict=True))
     return all(c == 0 for c in combo) and total > 0
 
 

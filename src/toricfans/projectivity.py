@@ -5,21 +5,23 @@ vector ``d``. D is ample exactly when d is strictly positive against the
 circuit of every wall, and the fan is projective exactly when some such d
 exists (existence of a strictly convex support function). Feasibility is
 decided by exact Fourier-Motzkin elimination; the answer always comes with a
-certificate that re-verifies by direct evaluation: an explicit ample d, or
-Farkas multipliers over the walls combining the inequalities into a
-contradiction.
+certificate: an explicit ample d, or Farkas multipliers over the walls
+combining the inequalities into a contradiction. Each system is built by one
+function (`_ample_system`, `_effective_system`), and every certificate is
+re-verified against its rows by `lp.verify_feasible` or `lp.verify_farkas`;
+a certificate of the wrong shape fails verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import NotCompleteError, NotSmoothError
+from . import rational
+from .errors import FanValidationError, NotCompleteError, NotSmoothError
 from .fan import (
     Fan,
-    Wall,
     is_complete,
     is_smooth,
     primitive_collections,
@@ -27,15 +29,7 @@ from .fan import (
     wall_circuit,
     walls,
 )
-from .lp import FeasiblePoint, solve_system
-
-
-@dataclass(frozen=True)
-class WallInequality:
-    """The circuit of a wall, viewed as the linear form d -> coeffs @ d."""
-
-    wall: Wall
-    coeffs: tuple[int, ...]
+from .lp import FeasiblePoint, solve_system, verify_farkas, verify_feasible
 
 
 @dataclass(frozen=True)
@@ -64,16 +58,35 @@ class ObstructionWitness:
     nonneg_multipliers: dict[int, Fraction]
 
 
-def wall_inequalities(fan: Fan) -> tuple[WallInequality, ...]:
-    """One inequality per wall, in wall order; positivity of all of them on a
-    divisor d says the support function of -d is strictly convex."""
-    _require_complete(fan)
-    return tuple(WallInequality(w, wall_circuit(fan, w)) for w in walls(fan))
-
-
-def _require_complete(fan: Fan) -> None:
+def _ample_system(fan: Fan) -> tuple[list, list[int]]:
+    """Rows ``circuit @ d >= 1``, one per wall in wall order; d is ample iff
+    some positive multiple of d satisfies them."""
     if not is_complete(fan):
         raise NotCompleteError("this query needs a complete fan")
+    rows = [wall_circuit(fan, w) for w in walls(fan)]
+    return rows, [1] * len(rows)
+
+
+def _effective_system(fan: Fan) -> tuple[list, list[int]]:
+    """Rows ``d_i >= 0`` for every ray, then degree >= 1 on every primitive
+    relation in `primitive_collections` order."""
+    if not is_complete(fan):
+        raise NotCompleteError("this query needs a complete fan")
+    if not is_smooth(fan):
+        raise NotSmoothError("the effective-ample test uses primitive relations of a smooth fan")
+    n = len(fan.rays)
+    rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rhs = [0] * n
+    for col in primitive_collections(fan):
+        rel = primitive_relation(fan, col)
+        coeffs = [0] * n
+        for i in rel.collection:
+            coeffs[i] += 1
+        for i, a in zip(rel.target_rays, rel.coefficients):
+            coeffs[i] -= a
+        rows.append(tuple(coeffs))
+        rhs.append(1)
+    return rows, rhs
 
 
 def _gauge_columns(fan: Fan) -> list[int]:
@@ -84,16 +97,48 @@ def _gauge_columns(fan: Fan) -> list[int]:
     return [i for i in range(len(fan.rays)) if i not in fixed]
 
 
-def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
-    """Decide existence of an ample divisor, with certificate.
+def _is_divisor(d, n: int) -> bool:
+    """A list or tuple of n ints or Fractions; bools and strings are not."""
+    return isinstance(d, (list, tuple)) and len(d) == n and all(
+        type(x) is int or isinstance(x, Fraction) for x in d
+    )
 
-    Solves {d : circuit @ d >= 1 for every wall}; the strictness-to-1
-    normalization is harmless because the system is homogeneous in d.
-    """
-    ineqs = wall_inequalities(fan)
+
+def _dense(multipliers: dict, length: int) -> Optional[list]:
+    """The multiplier vector of a sparse {row index: multiplier} dict, or
+    None when a key is not an int in range(length)."""
+    dense = [0] * length
+    for k, m in multipliers.items():
+        if type(k) is not int or not 0 <= k < length:
+            return None
+        dense[k] = m
+    return dense
+
+
+def _certificate_holds(rows: list, rhs: list[int], cert: ProjectivityCertificate) -> bool:
+    """Evaluate a certificate against the rows of `_ample_system`."""
+    d = cert.feasible_d
+    if d is not None:
+        return _is_divisor(d, len(rows[0])) and verify_feasible(rows, rhs, d)
+    mult = None if cert.farkas is None else _dense(cert.farkas, len(rows))
+    return mult is not None and verify_farkas(rows, rhs, mult)
+
+
+def _obstruction_holds(rows: list, rhs: list[int], witness: ObstructionWitness) -> bool:
+    """Evaluate a witness against the rows of `_effective_system`."""
+    n = len(rows[0])
+    nonneg = _dense(witness.nonneg_multipliers, n)
+    relation = _dense(witness.relation_multipliers, len(rows) - n)
+    if nonneg is None or relation is None:
+        return False
+    return verify_farkas(rows, rhs, nonneg + relation)
+
+
+def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
+    """Decide existence of an ample divisor, with certificate."""
+    rows, rhs = _ample_system(fan)
     free = _gauge_columns(fan)
-    rows = [tuple(q.coeffs[i] for i in free) for q in ineqs]
-    outcome = solve_system(rows, [1] * len(rows))
+    outcome = solve_system([tuple(row[i] for i in free) for row in rows], rhs)
     if isinstance(outcome, FeasiblePoint):
         d = [Fraction(0)] * len(fan.rays)
         for i, value in zip(free, outcome.x):
@@ -102,46 +147,33 @@ def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
     else:
         mult = {i: m for i, m in enumerate(outcome.multipliers) if m != 0}
         cert = ProjectivityCertificate(farkas=mult)
-    if not _certificate_holds(ineqs, len(fan.rays), cert):
+    if not _certificate_holds(rows, rhs, cert):
         raise AssertionError("the projectivity certificate found does not re-verify")
     return cert.feasible_d is not None, cert
 
 
 def verify_certificate(fan: Fan, cert: ProjectivityCertificate) -> bool:
     """Re-check a certificate by direct evaluation, independent of the solver."""
-    return _certificate_holds(wall_inequalities(fan), len(fan.rays), cert)
+    return _certificate_holds(*_ample_system(fan), cert)
 
 
-def _certificate_holds(
-    ineqs: Sequence[WallInequality], n: int, cert: ProjectivityCertificate
-) -> bool:
-    """Evaluate a certificate against the wall inequalities over n rays."""
-    if cert.feasible_d is not None:
-        d = cert.feasible_d
-        return all(_evaluate(q.coeffs, d) >= 1 for q in ineqs)
-    if cert.farkas is None:
-        return False
-    if not cert.farkas or any(m < 0 for m in cert.farkas.values()):
-        return False
-    combo = [Fraction(0)] * n
-    for idx, m in cert.farkas.items():
-        for j, c in enumerate(ineqs[idx].coeffs):
-            combo[j] += m * c
-    return all(c == 0 for c in combo) and any(m > 0 for m in cert.farkas.values())
-
-
-def _evaluate(coeffs: Sequence[int], d: Sequence) -> Fraction:
-    return sum(Fraction(c) * Fraction(x) for c, x in zip(coeffs, d, strict=True))
+def _circuit_values(fan: Fan, d) -> list:
+    rows, _ = _ample_system(fan)
+    if not _is_divisor(d, len(fan.rays)):
+        raise FanValidationError(
+            f"divisor {d!r} is not a list of {len(fan.rays)} ints or Fractions"
+        )
+    return [rational.dot(row, d) for row in rows]
 
 
 def is_ample(fan: Fan, d) -> bool:
     """True when the divisor d is strictly positive on every wall circuit."""
-    return all(_evaluate(q.coeffs, d) > 0 for q in wall_inequalities(fan))
+    return all(v > 0 for v in _circuit_values(fan, d))
 
 
 def is_nef(fan: Fan, d) -> bool:
     """Non-strict variant of `is_ample`."""
-    return all(_evaluate(q.coeffs, d) >= 0 for q in wall_inequalities(fan))
+    return all(v >= 0 for v in _circuit_values(fan, d))
 
 
 def nontrivial_nef_exists(fan: Fan) -> bool:
@@ -150,11 +182,11 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
     False means every nef divisor is numerically trivial. One small exact LP
     per wall: {d nef, circuit_w @ d >= 1} for each wall w in turn.
     """
-    ineqs = wall_inequalities(fan)
+    rows, _ = _ample_system(fan)
     free = _gauge_columns(fan)
-    base_rows = [tuple(q.coeffs[i] for i in free) for q in ineqs]
-    for k in range(len(ineqs)):
-        rhs = [1 if j == k else 0 for j in range(len(ineqs))]
+    base_rows = [tuple(row[i] for i in free) for row in rows]
+    for k in range(len(rows)):
+        rhs = [1 if j == k else 0 for j in range(len(rows))]
         if isinstance(solve_system(base_rows, rhs), FeasiblePoint):
             return True
     return False
@@ -167,57 +199,21 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
     and returns a Farkas witness when that system is infeasible, which proves
     the fan non-projective. Feasibility proves nothing (the test is one-way).
     """
-    _require_complete(fan)
-    if not is_smooth(fan):
-        raise NotSmoothError("the effective-ample test uses primitive relations of a smooth fan")
-    n = len(fan.rays)
-    rows: list[tuple[int, ...]] = []
-    rhs: list[int] = []
-    for i in range(n):
-        rows.append(tuple(1 if j == i else 0 for j in range(n)))
-        rhs.append(0)
-    collections = primitive_collections(fan)
-    for col in collections:
-        rel = primitive_relation(fan, col)
-        coeffs = [0] * n
-        for i in rel.collection:
-            coeffs[i] += 1
-        for i, a in zip(rel.target_rays, rel.coefficients):
-            coeffs[i] -= a
-        rows.append(tuple(coeffs))
-        rhs.append(1)
+    rows, rhs = _effective_system(fan)
     outcome = solve_system(rows, rhs)
     if isinstance(outcome, FeasiblePoint):
         return None
+    n = len(fan.rays)
     mult = outcome.multipliers
     witness = ObstructionWitness(
-        relation_multipliers={
-            k: m for k, m in enumerate(mult[n:]) if m != 0
-        },
+        relation_multipliers={k: m for k, m in enumerate(mult[n:]) if m != 0},
         nonneg_multipliers={i: m for i, m in enumerate(mult[:n]) if m != 0},
     )
-    if not verify_obstruction(fan, witness):
+    if not _obstruction_holds(rows, rhs, witness):
         raise AssertionError("the effective-ample obstruction found does not re-verify")
     return witness
 
 
 def verify_obstruction(fan: Fan, witness: ObstructionWitness) -> bool:
     """Re-check an obstruction witness by direct summation."""
-    if any(m < 0 for m in witness.relation_multipliers.values()):
-        return False
-    if any(m < 0 for m in witness.nonneg_multipliers.values()):
-        return False
-    if not any(m > 0 for m in witness.relation_multipliers.values()):
-        return False
-    n = len(fan.rays)
-    combo = [Fraction(0)] * n
-    for i, m in witness.nonneg_multipliers.items():
-        combo[i] += m
-    collections = primitive_collections(fan)
-    for k, m in witness.relation_multipliers.items():
-        rel = primitive_relation(fan, collections[k])
-        for i in rel.collection:
-            combo[i] += m
-        for i, a in zip(rel.target_rays, rel.coefficients):
-            combo[i] -= m * a
-    return all(c == 0 for c in combo)
+    return _obstruction_holds(*_effective_system(fan), witness)

@@ -4,8 +4,8 @@ Everything works on plain tuples/lists of ``int`` or ``fractions.Fraction``;
 no floating point is used anywhere. Matrices are given as sequences of rows.
 
 The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`
-and the 3x3 Cramer solve `solve_columns`. `int_det` and `rref` serve the LP
-layer's basis-enumeration oracle and the span check of enumeration.
+and the 3x3 Cramer solve `solve_columns`. `int_det` and `rref` serve only the
+LP layer's basis-enumeration oracle, which tests use.
 `integerize` has no caller in the package; tests use it as a reference and
 perfbench's tracer looks the name up.
 """

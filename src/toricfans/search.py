@@ -21,9 +21,9 @@ from .surgery import (
     MODIFIABLE,
     SurgeryStep,
     WallKind,
+    _exchange,
     classify_wall,
     exchanged_cones,
-    perform_surgery,
 )
 
 
@@ -73,7 +73,7 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
                     child = None
                     step = SurgeryStep(wall.rays, cls.kind, cls.degree, node_key, seen[cones])
                 else:
-                    child, step = perform_surgery(node, wall)
+                    child, step = _exchange(node, wall, cls, cones, node_key)
                     seen[cones] = step.after_key
                     next_level.append((child, route + (step,)))
                 yield route + (step,), child

@@ -83,15 +83,27 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
         raise NotModifiableWallError(
             f"wall {wall.rays} has a divisorial or fiber-type circuit"
         )
+    return _exchange(fan, wall, classification, exchanged_cones(fan, wall), canonical_key(fan))
+
+
+def _exchange(
+    fan: Fan,
+    wall: Wall,
+    classification: WallClassification,
+    cones: tuple[tuple[int, ...], ...],
+    before_key: tuple,
+) -> tuple[Fan, SurgeryStep]:
+    """Validate the fan on `cones` (the `exchanged_cones` of a modifiable
+    wall of `fan`) and build the step to it from `fan`, keyed `before_key`."""
     try:
-        result = validate_fan(fan.dim, fan.rays, exchanged_cones(fan, wall))
+        result = validate_fan(fan.dim, fan.rays, cones)
     except FanValidationError as exc:  # pragma: no cover - assertion-grade
         raise SurgeryInvalidError(f"wall exchange produced an invalid fan: {exc}")
     step = SurgeryStep(
         wall_rays=wall.rays,
         kind=classification.kind,
         degree=classification.degree,
-        before_key=canonical_key(fan),
+        before_key=before_key,
         after_key=canonical_key(result),
     )
     return result, step

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from toricfans import build, star_subdivide, validate_fan
+from toricfans import build, star_subdivide, validate_fan, wall_circuit, walls
+from toricfans.projectivity import _gauge_columns
 
 P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
 P3_CONES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -63,6 +64,13 @@ def blowup_chain(fid, params, top, seed=0):
         cone = rng.choice(fan.max_cones)
         fan = star_subdivide(fan, [sum(fan.rays[i][k] for i in cone) for k in range(3)])
     return fan
+
+
+def gauge_fixed_wall_rows(fan):
+    """The wall circuits on the columns `is_projective` leaves free, in wall
+    order: the fan is projective iff these rows @ x >= 1 is feasible."""
+    free = _gauge_columns(fan)
+    return [tuple(wall_circuit(fan, w)[i] for i in free) for w in walls(fan)]
 
 
 @pytest.fixture

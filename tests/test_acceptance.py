@@ -11,6 +11,7 @@ from conftest import (
     CATALOG_INSTANCES,
     MIXED_GRID,
     PROJECTIVE_GRID,
+    gauge_fixed_wall_rows,
     ray_index,
     random_unimodular,
 )
@@ -36,11 +37,9 @@ from toricfans import (
     star_subdivide,
     verify_certificate,
     verify_obstruction,
-    wall_inequalities,
     walls,
 )
 from toricfans.lp import feasible_by_basis_enumeration
-from toricfans.projectivity import _gauge_columns
 from toricfans.surgery import MODIFIABLE, WallKind
 
 
@@ -53,9 +52,7 @@ def _report(number: int, failures: list, detail: str = "") -> None:
 
 def _oracle_projective(fan) -> bool:
     """Projectivity by the basic-solution oracle on the gauge-fixed wall rows."""
-    qs = wall_inequalities(fan)
-    free = _gauge_columns(fan)
-    rows = [tuple(q.coeffs[i] for i in free) for q in qs]
+    rows = gauge_fixed_wall_rows(fan)
     return feasible_by_basis_enumeration(rows, [1] * len(rows))
 
 

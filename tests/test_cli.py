@@ -119,7 +119,7 @@ class TestCheck:
         self, tmp_path, capsys, monkeypatch
     ):
         path = write_catalog_fan(tmp_path, "W7_5")
-        monkeypatch.setattr(projectivity, "_certificate_holds", lambda ineqs, n, cert: False)
+        monkeypatch.setattr(projectivity, "_certificate_holds", lambda rows, rhs, cert: False)
         code, out, err = run(capsys, "check", str(path))
         assert code == 3
         assert out == ""

@@ -138,6 +138,10 @@ class TestInputValidation:
         with pytest.raises(DegenerateRaysError):
             enumerate_smooth_complete_fans([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
         with pytest.raises(DegenerateRaysError):
+            enumerate_smooth_complete_fans(
+                [(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 0, 0), (0, -1, 0)]
+            )
+        with pytest.raises(DegenerateRaysError):
             enumerate_smooth_complete_fans([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         with pytest.raises(DegenerateRaysError):
             enumerate_smooth_complete_fans([(2, 0, 0), (0, 1, 0), (0, 0, 1)])

@@ -22,7 +22,9 @@ from toricfans import (
     contract_ray,
     enumerate_smooth_complete_fans,
     find_wall,
+    is_ample,
     is_complete,
+    is_nef,
     is_smooth,
     picard_number,
     primitive_collections,
@@ -152,11 +154,17 @@ class TestValidation:
             (lambda: build("Z2", (True,)), ArityMismatchError),
             (lambda: primitive_relation(build("W7_5"), ("1", 5)), FanValidationError),
             (lambda: primitive_relation(build("W7_5"), (1.0, 5)), FanValidationError),
+            (lambda: contract_ray(build("W7_5"), 1.5), FanValidationError),
+            (lambda: contract_ray(build("W7_5"), True), FanValidationError),
+            (lambda: is_ample(build("W7_5"), [1, 2]), FanValidationError),
+            (lambda: is_nef(build("W7_5"), [1] * 8), FanValidationError),
+            (lambda: is_ample(build("W7_5"), ["1"] * 7), FanValidationError),
         ],
         ids=[
             "subdivide-float-bool", "subdivide-str", "enumerate-float", "enumerate-iterator",
             "find_wall-float", "build-float", "build-str", "build-bool",
-            "relation-str", "relation-float",
+            "relation-str", "relation-float", "contract-float", "contract-bool",
+            "ample-short", "nef-long", "ample-str",
         ],
     )
     def test_library_inputs_are_rejected_not_converted(self, call, error):

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CATALOG_INSTANCES
+from conftest import CATALOG_GRID, CATALOG_INSTANCES, gauge_fixed_wall_rows
 import toricfans
 from toricfans import (
+    ObstructionWitness,
+    ProjectivityCertificate,
     build,
     effective_ample_obstruction,
+    find_wall,
     is_ample,
     is_nef,
     is_projective,
@@ -18,39 +21,45 @@ from toricfans import (
     nontrivial_nef_exists,
     primitive_collections,
     primitive_relation,
+    projectivity,
     validate_fan,
     verify_certificate,
     verify_obstruction,
-    wall_inequalities,
+    wall_circuit,
+    walls,
 )
 from toricfans.errors import NotCompleteError
 from toricfans.lp import feasible_by_basis_enumeration
-from toricfans.projectivity import _gauge_columns
 
 
 class TestWallInequalities:
     def test_projective_space_all_ones(self, p3):
-        for q in wall_inequalities(p3):
-            assert q.coeffs == (1, 1, 1, 1)
+        for wall in walls(p3):
+            assert wall_circuit(p3, wall) == (1, 1, 1, 1)
 
     def test_w75_flopping_circuit(self):
         w = build("W7_5")
-        q = next(
-            q for q in wall_inequalities(w) if q.wall.rays == (0, 6)
-        )
         # v2 + v6 - v1 - v7 = 0
-        assert q.coeffs == (-1, 1, 0, 0, 0, 1, -1)
+        assert wall_circuit(w, find_wall(w, (0, 6))) == (-1, 1, 0, 0, 0, 1, -1)
 
     def test_z13pp_parameter_circuit(self):
         z = build("Z13pp", (1, 2, 1, 3))
-        q = next(q for q in wall_inequalities(z) if q.wall.rays == (0, 3))
         # v2 + v6 - v1 - b v4 = 0 at b = 2
-        assert q.coeffs == (-1, 1, 0, -2, 0, 1, 0, 0)
+        assert wall_circuit(z, find_wall(z, (0, 3))) == (-1, 1, 0, -2, 0, 1, 0, 0)
 
     def test_not_complete(self):
         fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
-        with pytest.raises(NotCompleteError):
-            wall_inequalities(fan)
+        for call in (
+            is_projective,
+            nontrivial_nef_exists,
+            effective_ample_obstruction,
+            lambda f: is_ample(f, [1, 1, 1]),
+            lambda f: is_nef(f, [1, 1, 1]),
+            lambda f: verify_certificate(f, ProjectivityCertificate(feasible_d=(1, 1, 1))),
+            lambda f: verify_obstruction(f, ObstructionWitness({0: 1}, {})),
+        ):
+            with pytest.raises(NotCompleteError):
+                call(fan)
 
 
 class TestProjectivity:
@@ -64,10 +73,10 @@ class TestProjectivity:
     def test_w75_farkas_combination_is_zero(self):
         w = build("W7_5")
         _, cert = is_projective(w)
-        qs = wall_inequalities(w)
+        circuits = [wall_circuit(w, wall) for wall in walls(w)]
         total = [Fraction(0)] * 7
         for idx, m in cert.farkas.items():
-            for j, c in enumerate(qs[idx].coeffs):
+            for j, c in enumerate(circuits[idx]):
                 total[j] += m * c
         assert all(x == 0 for x in total)
 
@@ -164,19 +173,19 @@ def test_wall_inequality_matches_primitive_relation_rows():
         if not is_smooth(fan):
             continue
         collections = set(primitive_collections(fan))
-        for q in wall_inequalities(fan):
-            pair = tuple(sorted(q.wall.off_rays))
+        for wall in walls(fan):
+            pair = tuple(sorted(wall.off_rays))
             if pair not in collections:
                 continue
             rel = primitive_relation(fan, pair)
-            if not set(rel.target_rays) <= set(q.wall.rays):
+            if not set(rel.target_rays) <= set(wall.rays):
                 continue
             row = [0] * len(fan.rays)
             for i in rel.collection:
                 row[i] += 1
             for i, a in zip(rel.target_rays, rel.coefficients):
                 row[i] -= a
-            assert tuple(row) == q.coeffs, (fid, params, q.wall.rays)
+            assert tuple(row) == wall_circuit(fan, wall), (fid, params, wall.rays)
             matched += 1
     assert matched > 20  # the comparison must actually bite
 
@@ -184,9 +193,7 @@ def test_wall_inequality_matches_primitive_relation_rows():
 def test_solver_against_basis_enumeration_oracle():
     for fid, params in [("W7_5", ()), ("Z10", ()), ("Z5p", (-1,)), ("Z5p", (0,))]:
         fan = build(fid, params)
-        qs = wall_inequalities(fan)
-        free = _gauge_columns(fan)
-        rows = [tuple(q.coeffs[i] for i in free) for q in qs]
+        rows = gauge_fixed_wall_rows(fan)
         assert feasible_by_basis_enumeration(rows, [1] * len(rows)) == is_projective(fan)[0]
 
 
@@ -196,8 +203,8 @@ from toricfans import build
 
 if __debug__:
     raise SystemExit("not running under python -O")
-p._certificate_holds = lambda ineqs, n, cert: False
-p.verify_obstruction = lambda fan, witness: False
+p._certificate_holds = lambda rows, rhs, cert: False
+p._obstruction_holds = lambda rows, rhs, witness: False
 for call in (
     lambda: p.is_projective(build("W7_5")),
     lambda: p.is_projective(build("Z10")),
@@ -223,3 +230,117 @@ def test_reverification_survives_python_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["raised"] * 3
+
+
+def _reference_certificate_holds(fan, cert):
+    # the direct evaluation loops of the original verifier; a certificate
+    # that does not fit the fan fails instead of raising or wrapping around
+    circuits = [wall_circuit(fan, wall) for wall in walls(fan)]
+    n = len(fan.rays)
+    if cert.feasible_d is not None:
+        d = cert.feasible_d
+        if len(d) != n:
+            return False
+        return all(sum(Fraction(c) * x for c, x in zip(q, d)) >= 1 for q in circuits)
+    if not cert.farkas or any(m < 0 for m in cert.farkas.values()):
+        return False
+    if any(k not in range(len(circuits)) for k in cert.farkas):
+        return False
+    combo = [Fraction(0)] * n
+    for idx, m in cert.farkas.items():
+        for j, c in enumerate(circuits[idx]):
+            combo[j] += m * c
+    return all(c == 0 for c in combo) and any(m > 0 for m in cert.farkas.values())
+
+
+def _reference_obstruction_holds(fan, witness):
+    collections = primitive_collections(fan)
+    n = len(fan.rays)
+    relation, nonneg = witness.relation_multipliers, witness.nonneg_multipliers
+    if any(k not in range(len(collections)) for k in relation):
+        return False
+    if any(i not in range(n) for i in nonneg):
+        return False
+    if any(m < 0 for m in relation.values()) or any(m < 0 for m in nonneg.values()):
+        return False
+    if not any(m > 0 for m in relation.values()):
+        return False
+    combo = [Fraction(0)] * n
+    for i, m in nonneg.items():
+        combo[i] += m
+    for k, m in relation.items():
+        rel = primitive_relation(fan, collections[k])
+        for i in rel.collection:
+            combo[i] += m
+        for i, a in zip(rel.target_rays, rel.coefficients):
+            combo[i] -= m * a
+    return all(c == 0 for c in combo)
+
+
+def _entry_mutations(values):
+    """Copies of a tuple with one entry dropped, negated or changed by one."""
+    for i in range(len(values)):
+        yield values[:i] + values[i + 1:]
+        yield values[:i] + (-values[i],) + values[i + 1:]
+        yield values[:i] + (values[i] + 1,) + values[i + 1:]
+
+
+def _dict_mutations(mult, size):
+    """Copies of a {row index: multiplier} dict with one entry dropped,
+    negated or changed by one, or one key shifted, negative or out of range."""
+    for k, m in mult.items():
+        rest = {j: x for j, x in mult.items() if j != k}
+        yield rest
+        for changed in (-m, m + 1):
+            yield {**rest, k: changed}
+        for key in (k + 1, -1 - k, size + k):
+            yield {**rest, key: m}
+
+
+def test_verifiers_match_reference_on_solver_and_mutated_certificates():
+    checked = 0
+    for fid, params in CATALOG_INSTANCES:
+        fan = build(fid, params)
+        _, cert = is_projective(fan)
+        if cert.feasible_d is not None:
+            d = cert.feasible_d
+            mutants = [ProjectivityCertificate(feasible_d=m) for m in _entry_mutations(d)]
+            mutants.append(ProjectivityCertificate(feasible_d=d[: len(d) // 2]))
+        else:
+            mutants = [
+                ProjectivityCertificate(farkas=m)
+                for m in _dict_mutations(cert.farkas, len(walls(fan)))
+            ]
+        for c in [cert] + mutants:
+            assert verify_certificate(fan, c) == _reference_certificate_holds(fan, c), (fid, c)
+            checked += 1
+        assert verify_certificate(fan, cert)
+
+        witness = effective_ample_obstruction(fan)
+        if witness is None:
+            continue
+        relation, nonneg = witness.relation_multipliers, witness.nonneg_multipliers
+        mutants = [
+            ObstructionWitness(m, nonneg)
+            for m in _dict_mutations(relation, len(primitive_collections(fan)))
+        ] + [ObstructionWitness(relation, m) for m in _dict_mutations(nonneg, len(fan.rays))]
+        for w in [witness] + mutants:
+            assert verify_obstruction(fan, w) == _reference_obstruction_holds(fan, w), (fid, w)
+            checked += 1
+        assert verify_obstruction(fan, witness)
+    assert checked > 500
+
+
+def test_effective_obstruction_scans_primitive_collections_once(monkeypatch):
+    scans = []
+
+    def counting_primitive_collections(fan):
+        scans.append(fan)
+        return primitive_collections(fan)
+
+    monkeypatch.setattr(projectivity, "primitive_collections", counting_primitive_collections)
+    witnesses = 0
+    for fid, params in CATALOG_GRID:
+        witnesses += effective_ample_obstruction(build(fid, params)) is not None
+    assert witnesses > 0
+    assert len(scans) == len(CATALOG_GRID) == 355

@@ -15,7 +15,7 @@ from toricfans import (
     validate_fan,
     walls,
 )
-from toricfans import surgery
+from toricfans import search, surgery
 from toricfans.errors import NotCompleteError
 from toricfans.search import GraphNode, SearchResult, SurgeryGraph
 from toricfans.surgery import MODIFIABLE, WallKind
@@ -208,3 +208,24 @@ def test_graph_validates_each_new_fan_once(monkeypatch):
     graph = surgery_graph(build("Z13pp", (2, 7, 4, 2)), 3)
     assert len(graph.edges) > len(graph.nodes) - 1  # some edges reach a seen fan
     assert len(calls) == len(graph.nodes) - 1
+
+
+def test_graph_classifies_each_wall_and_keys_each_fan_once(monkeypatch):
+    classified, keyed = [], []
+
+    def counting_classify_wall(fan, wall):
+        classified.append((fan.max_cones, wall.rays))
+        return classify_wall(fan, wall)
+
+    def counting_canonical_key(fan):
+        keyed.append(fan.max_cones)
+        return canonical_key(fan)
+
+    for module in (search, surgery):
+        monkeypatch.setattr(module, "classify_wall", counting_classify_wall)
+        monkeypatch.setattr(module, "canonical_key", counting_canonical_key)
+    graph = surgery_graph(build("Z13pp", (2, 7, 4, 2)), 3)
+    assert len(graph.nodes) > 1
+    assert len(classified) == len(set(classified))
+    # the start fan is keyed for its graph node and for the search
+    assert len(keyed) == len(graph.nodes) + 1
