@@ -1,27 +1,28 @@
 """Exact feasibility of rational linear-inequality systems, with certificates.
 
-Systems have the form ``A x >= b``. The one decision procedure is
-Fourier-Motzkin elimination over the rationals with multiplier bookkeeping
-(`solve_system`): a feasible system yields an explicit rational point, an
-infeasible one yields nonnegative Farkas multipliers ``mu`` with
-``mu @ A == 0`` and ``mu @ b > 0``. `verify_feasible` and `verify_farkas`,
-the package's only certificate checks, re-verify them by direct evaluation,
-independently of the elimination; a witness of the wrong length raises
-ValueError. `fm_feasible` is the same decision without the witness. Cone
-gluing and overlap in `fan` are decided by an exact 3-D separation test.
-
-`feasible_by_basis_enumeration` is a deliberately separate oracle (basic
-solutions of row subsets) used to cross-check the eliminator in tests.
+Systems have the form ``A x >= b`` with an integer matrix ``A`` and a
+rational ``b``. The one decision procedure, `solve_system`, runs Phase I of
+the simplex method on the Farkas dual ``{y >= 0 : y @ A == 0, y @ b == 1}``.
+Its tableau holds integers over one common denominator and is updated by
+fraction-free (Edmonds/Bareiss) pivots, so no `Fraction` is built in the
+loop; Bland's smallest-index rule picks the entering and the leaving
+variable, so degenerate pivots cannot cycle. An infeasible system yields the
+basic ``y``: nonnegative Farkas multipliers with ``y @ A == 0`` and
+``y @ b > 0``. A feasible one yields a rational point read off the simplex
+multipliers of the positive Phase I optimum. `verify_feasible` and
+`verify_farkas`, the package's only certificate checks, re-verify both by
+direct evaluation, independently of the solver; a witness of the wrong
+length raises ValueError. `fm_feasible` is the same decision without the
+witness. Cone gluing and overlap in `fan` are decided by an exact 3-D
+separation test.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
-
-from .rational import int_det, rref, vec_gcd
 
 
 @dataclass(frozen=True)
@@ -36,100 +37,81 @@ class FarkasCertificate:
     multipliers: tuple[Fraction, ...]
 
 
-class _Row:
-    """One inequality coeffs @ x >= rhs, with its provenance multipliers."""
-
-    __slots__ = ("coeffs", "rhs", "mult")
-
-    def __init__(self, coeffs, rhs, mult):
-        self.coeffs = coeffs
-        self.rhs = rhs
-        self.mult = mult
-
-
-def _normalized(coeffs, rhs, mult):
-    g = vec_gcd(coeffs)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs = rhs / g
-        mult = tuple(m / g for m in mult)
-    return _Row(coeffs, rhs, mult)
-
-
 def solve_system(
     rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]
 ) -> FeasiblePoint | FarkasCertificate:
-    """Decide feasibility of {x : rows[i] @ x >= rhs[i] for all i}."""
+    """Decide feasibility of {x : rows[i] @ x >= rhs[i] for all i}.
+
+    Every coefficient must be an ``int`` (not a bool), every row must have
+    the same length, and every right-hand side must be an ``int`` or a
+    ``Fraction``; anything else raises ValueError.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    active: list[_Row] = []
-    for i in range(m):
-        unit = tuple(Fraction(1 if j == i else 0) for j in range(m))
-        row = _normalized(tuple(int(c) for c in rows[i]), Fraction(rhs[i]), unit)
-        active.append(row)
+    if len(rhs) != m or any(len(row) != n for row in rows):
+        raise ValueError("solve_system needs equally long rows and one right-hand side per row")
+    if any(type(c) is not int for row in rows for c in row):
+        raise ValueError("solve_system needs int coefficients")
+    if any(type(r) is not int and not isinstance(r, Fraction) for r in rhs):
+        raise ValueError("solve_system needs int or Fraction right-hand sides")
+    scale = lcm(*(Fraction(r).denominator for r in rhs))
+    # Constraint k < n is column k of `rows` (y @ rows == 0); constraint n is
+    # y @ (scale * rhs) == scale. Columns: y_0..y_{m-1}, then one artificial
+    # per constraint, then the right-hand side. Every entry is an integer
+    # over the common denominator `denom`, and the last row holds the
+    # reduced costs of the Phase I objective (the sum of the artificials).
+    tableau = [
+        [row[k] for row in rows] + [int(k == j) for j in range(n + 1)] + [0]
+        for k in range(n)
+    ]
+    tableau.append(
+        [int(r * scale) for r in rhs] + [int(j == n) for j in range(n + 1)] + [scale]
+    )
+    tableau.append([-sum(t[j] for t in tableau) for j in range(m)] + [0] * (n + 1) + [-scale])
+    cost = tableau[-1]
+    basis = list(range(m, m + n + 1))
+    denom = 1
+    while cost[-1] != 0:
+        # Bland: the first y column with negative reduced cost enters. An
+        # artificial that has left never re-enters, so only y columns compete.
+        enter = next((j for j in range(m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # Bland: minimum ratio, ties to the smallest basic index, compared
+        # by cross-multiplication. The Phase I objective is bounded below
+        # by 0, so an improving column has a positive entry.
+        out = None
+        for i in range(n + 1):
+            a = tableau[i][enter]
+            if a > 0 and (
+                out is None
+                or (d := tableau[i][-1] * tableau[out][enter] - tableau[out][-1] * a) < 0
+                or (d == 0 and basis[i] < basis[out])
+            ):
+                out = i
+        pivot_row = tableau[out]
+        pivot = pivot_row[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            # A row with f == 0 only scales by pivot / denom: often by 1.
+            if i != out and (f or pivot != denom):
+                tableau[i] = [(v * pivot - f * u) // denom for v, u in zip(row, pivot_row)]
+        cost = tableau[-1]
+        basis[out] = enter
+        denom = pivot
 
-    def sift(candidates: list[_Row]):
-        # Drop satisfied 0 >= rhs rows, catch contradictions, keep the
-        # strongest representative of each coefficient pattern.
-        best: dict[tuple[int, ...], _Row] = {}
-        for row in candidates:
-            if all(c == 0 for c in row.coeffs):
-                if row.rhs > 0:
-                    return None, row
-                continue
-            seen = best.get(row.coeffs)
-            if seen is None or row.rhs > seen.rhs:
-                best[row.coeffs] = row
-        return list(best.values()), None
-
-    active, bad = sift(active)
-    if bad is not None:
-        return FarkasCertificate(bad.mult)
-
-    steps: list[tuple[int, list[_Row], list[_Row]]] = []
-    for j in range(n):
-        pos = [r for r in active if r.coeffs[j] > 0]
-        neg = [r for r in active if r.coeffs[j] < 0]
-        rest = [r for r in active if r.coeffs[j] == 0]
-        steps.append((j, pos, neg))
-        combined = list(rest)
-        for p in pos:
-            a = p.coeffs[j]
-            for q in neg:
-                c = -q.coeffs[j]
-                coeffs = tuple(c * x + a * y for x, y in zip(p.coeffs, q.coeffs))
-                combined.append(
-                    _normalized(
-                        coeffs,
-                        c * p.rhs + a * q.rhs,
-                        tuple(c * x + a * y for x, y in zip(p.mult, q.mult)),
-                    )
-                )
-        active, bad = sift(combined)
-        if bad is not None:
-            return FarkasCertificate(bad.mult)
-
-    # Feasible: back-substitute in reverse elimination order.
-    x = [Fraction(0)] * n
-    for j, pos, neg in reversed(steps):
-        lows = []
-        highs = []
-        for r in pos:
-            rest = sum(r.coeffs[k] * x[k] for k in range(j + 1, n))
-            lows.append(Fraction(r.rhs - rest, r.coeffs[j]))
-        for r in neg:
-            rest = sum(r.coeffs[k] * x[k] for k in range(j + 1, n))
-            highs.append(Fraction(r.rhs - rest, r.coeffs[j]))
-        if lows and highs:
-            lo, hi = max(lows), min(highs)
-            if lo > hi:
-                raise AssertionError("Fourier-Motzkin back-substitution out of order")
-            x[j] = (lo + hi) / 2
-        elif lows:
-            x[j] = max(lows)
-        elif highs:
-            x[j] = min(highs)
-    return FeasiblePoint(tuple(x))
+    if cost[-1] == 0:
+        y = [Fraction(0)] * m
+        for i, j in enumerate(basis):
+            if j < m:
+                y[j] = Fraction(tableau[i][-1], denom)
+        return FarkasCertificate(tuple(y))
+    # Simplex multipliers w_k = 1 - (reduced cost of artificial k), here
+    # times denom. The y columns' reduced costs are >= 0, so row by row
+    # rows @ w[:n] + scale * w[n] * rhs <= 0, and the positive objective is
+    # scale * w[n]; hence x = -w[:n] / (scale * w[n]) is feasible.
+    w = [denom - c for c in cost[m : m + n + 1]]
+    return FeasiblePoint(tuple(Fraction(-w[k], w[n] * scale) for k in range(n)))
 
 
 def fm_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
@@ -151,48 +133,3 @@ def verify_farkas(rows, rhs, multipliers) -> bool:
     combo = [sum(m * row[j] for m, row in zip(multipliers, rows, strict=True)) for j in range(n)]
     total = sum(m * r for m, r in zip(multipliers, rhs, strict=True))
     return all(c == 0 for c in combo) and total > 0
-
-
-def feasible_by_basis_enumeration(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> bool:
-    """Independent feasibility oracle: scan basic solutions of row subsets.
-
-    The system is first restricted to the pivot columns of its coefficient
-    matrix, which removes the lineality space, so a nonempty feasible region
-    has a vertex and every vertex is the unique solution of some k linearly
-    independent tight rows. Exact integer arithmetic throughout (Cramer with
-    fraction-free determinants; comparisons cleared of denominators).
-    """
-    m = len(rows)
-    if m == 0:
-        return True
-    _, pivots = rref(rows)
-    if not pivots:
-        return all(Fraction(r) <= 0 for r in rhs)
-    a = [[int(row[c]) for c in pivots] for row in rows]
-    b = [int(r) for r in rhs]
-    k = len(pivots)
-
-    for subset in itertools.combinations(range(m), k):
-        d = int_det([a[i] for i in subset])
-        if d == 0:
-            continue
-        # Cramer numerators: x_j = num[j] / d
-        num = [
-            int_det(
-                [
-                    [b[i] if c == j else a[i][c] for c in range(k)]
-                    for i in subset
-                ]
-            )
-            for j in range(k)
-        ]
-        sign = 1 if d > 0 else -1
-        scale = abs(d)
-        if all(
-            sign * sum(a[i][c] * num[c] for c in range(k)) >= b[i] * scale
-            for i in range(m)
-        ):
-            return True
-    return False

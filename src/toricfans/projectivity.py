@@ -4,9 +4,10 @@ A torus-invariant divisor D = sum(d_i * D_i) is encoded by its coefficient
 vector ``d``. D is ample exactly when d is strictly positive against the
 circuit of every wall, and the fan is projective exactly when some such d
 exists (existence of a strictly convex support function). Feasibility is
-decided by exact Fourier-Motzkin elimination; the answer always comes with a
-certificate: an explicit ample d, or Farkas multipliers over the walls
-combining the inequalities into a contradiction. Each system is built by one
+decided by the exact simplex of `lp.solve_system`; the answer always comes
+with a certificate: an explicit ample d, or Farkas multipliers over the walls
+combining the inequalities into a contradiction. The certificate's values
+depend on the solver; the verdict does not. Each system is built by one
 function (`_ample_system`, `_effective_system`), and every certificate is
 re-verified against its rows by `lp.verify_feasible` or `lp.verify_farkas`;
 a certificate of the wrong shape fails verification.
@@ -179,17 +180,15 @@ def is_nef(fan: Fan, d) -> bool:
 def nontrivial_nef_exists(fan: Fan) -> bool:
     """Whether some nef divisor is positive on at least one wall curve.
 
-    False means every nef divisor is numerically trivial. One small exact LP
-    per wall: {d nef, circuit_w @ d >= 1} for each wall w in turn.
+    False means every nef divisor is numerically trivial. One exact LP:
+    {d nef, (sum of all wall circuits) @ d >= 1}. On a nef d every circuit
+    term is >= 0, so the sum is positive exactly when some term is.
     """
     rows, _ = _ample_system(fan)
     free = _gauge_columns(fan)
-    base_rows = [tuple(row[i] for i in free) for row in rows]
-    for k in range(len(rows)):
-        rhs = [1 if j == k else 0 for j in range(len(rows))]
-        if isinstance(solve_system(base_rows, rhs), FeasiblePoint):
-            return True
-    return False
+    nef_rows = [tuple(row[i] for i in free) for row in rows]
+    total = tuple(sum(col) for col in zip(*nef_rows))
+    return isinstance(solve_system(nef_rows + [total], [0] * len(rows) + [1]), FeasiblePoint)
 
 
 def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:

@@ -4,8 +4,7 @@ Everything works on plain tuples/lists of ``int`` or ``fractions.Fraction``;
 no floating point is used anywhere. Matrices are given as sequences of rows.
 
 The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`
-and the 3x3 Cramer solve `solve_columns`. `int_det` and `rref` serve only the
-LP layer's basis-enumeration oracle, which tests use.
+and the 3x3 Cramer solve `solve_columns`.
 `integerize` has no caller in the package; tests use it as a reference and
 perfbench's tracer looks the name up.
 """
@@ -58,53 +57,6 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
-
-
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    n = len(rows)
-    a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * a[col][col] - a[r][col] * a[col][c]) // prev
-            a[r][col] = 0
-        prev = a[col][col]
-    return sign * a[n - 1][n - 1]
-
-
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
 
 
 def solve_columns(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vector:

@@ -15,6 +15,7 @@ from conftest import (
     ray_index,
     random_unimodular,
 )
+from oracles import feasible_by_basis_enumeration
 from toricfans import (
     build,
     canonical_key,
@@ -39,7 +40,6 @@ from toricfans import (
     verify_obstruction,
     walls,
 )
-from toricfans.lp import feasible_by_basis_enumeration
 from toricfans.surgery import MODIFIABLE, WallKind
 
 

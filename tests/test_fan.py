@@ -15,6 +15,7 @@ from conftest import (
     ray_index,
     random_unimodular,
 )
+from oracles import feasible_by_basis_enumeration
 from toricfans import (
     build,
     canonical_key,
@@ -54,7 +55,7 @@ from toricfans.errors import (
     UnusedRayError,
 )
 from toricfans.fan import _in_open_2cone, _properly_glued, interiors_overlap
-from toricfans.lp import FeasiblePoint, feasible_by_basis_enumeration, solve_system
+from toricfans.lp import FeasiblePoint, solve_system
 
 
 class TestValidation:
@@ -172,9 +173,9 @@ class TestValidation:
             call()
 
 
-# Independent oracles for the two cone predicates: the Fourier-Motzkin
-# formulations they replaced, decided by the certified solver and by
-# basic-solution enumeration, which must agree.
+# Independent oracles for the two cone predicates: the LP formulations they
+# replaced, decided by the certified solver and by basic-solution
+# enumeration, which must agree.
 
 
 def _glued_rows(rays, cone_a, cone_b):

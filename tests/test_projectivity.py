@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CATALOG_GRID, CATALOG_INSTANCES, gauge_fixed_wall_rows
+from conftest import CATALOG_GRID, CATALOG_INSTANCES, blowup_chain, gauge_fixed_wall_rows
+from oracles import feasible_by_basis_enumeration
 import toricfans
 from toricfans import (
     ObstructionWitness,
@@ -29,7 +30,7 @@ from toricfans import (
     walls,
 )
 from toricfans.errors import NotCompleteError
-from toricfans.lp import feasible_by_basis_enumeration
+from toricfans.lp import FeasiblePoint, solve_system
 
 
 class TestWallInequalities:
@@ -136,6 +137,19 @@ class TestNontrivialNef:
 
     def test_w75_has_semiample(self):
         assert nontrivial_nef_exists(build("W7_5"))
+
+    def test_one_lp_matches_one_lp_per_wall(self):
+        # Reference: {d nef, circuit_w @ d >= 1} for each wall w in turn.
+        fans = [build(fid, params) for fid, params in CATALOG_GRID]
+        fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+        verdicts = []
+        for fan in fans:
+            rows = gauge_fixed_wall_rows(fan)
+            unit = [[int(j == k) for j in range(len(rows))] for k in range(len(rows))]
+            per_wall = any(isinstance(solve_system(rows, e), FeasiblePoint) for e in unit)
+            assert nontrivial_nef_exists(fan) == per_wall
+            verdicts.append(per_wall)
+        assert True in verdicts and False in verdicts
 
 
 class TestEffectiveAmpleObstruction:
@@ -344,3 +358,18 @@ def test_effective_obstruction_scans_primitive_collections_once(monkeypatch):
         witnesses += effective_ample_obstruction(build(fid, params)) is not None
     assert witnesses > 0
     assert len(scans) == len(CATALOG_GRID) == 355
+
+
+@pytest.mark.parametrize("fid, params", [("W7_5", ()), ("Z2", (1,))])
+def test_every_ladder_rung_is_decided_with_certificates(fid, params):
+    # Rungs of 9 to 21 rays of the seeded blow-up chain; Z2(1) stays projective.
+    for top in range(9, 22):
+        fan = blowup_chain(fid, params, top)
+        projective, cert = is_projective(fan)
+        assert verify_certificate(fan, cert), (fid, top)
+        if fid == "Z2":
+            assert projective, top
+        witness = effective_ample_obstruction(fan)
+        if witness is not None:
+            assert verify_obstruction(fan, witness), (fid, top)
+            assert not projective, (fid, top)
