@@ -13,6 +13,7 @@ fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -277,6 +278,9 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: each parse_args call fills a fresh namespace from
+# the parser's defaults, so no state carries over between calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricfans",

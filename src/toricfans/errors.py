@@ -76,10 +76,6 @@ class NotModifiableWallError(FanError):
     """The wall admits no flip/flop/anti-flip exchange."""
 
 
-class SurgeryInvalidError(FanError):
-    """A wall exchange produced an invalid fan (should never happen)."""
-
-
 class UnknownFamilyError(FanError):
     """Unknown catalog family id."""
 

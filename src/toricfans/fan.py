@@ -4,10 +4,10 @@ A fan is stored as its list of primitive ray generators together with the
 maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
 Fans are immutable after validation; every operation is a pure function
 returning new values, so fans are safe to share between threads. A `Fan`
-only adds lazily built lookup tables (`cone_sets`, `ray_index`,
-`face_census`), which are the same whichever thread builds them and are
-never mutated; wall circuits are recomputed on each call from four 3x3
-determinants (`wall_circuit`).
+only adds lazily built lookup tables (`faces`, `ray_index`, `face_census`),
+which are the same whichever thread builds them and are never mutated;
+wall circuits are recomputed on each call from four 3x3 determinants
+(`wall_circuit`).
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
@@ -58,10 +58,6 @@ class Fan:
     max_cones: tuple[ConeTuple, ...]
 
     @cached_property
-    def cone_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(c) for c in self.max_cones)
-
-    @cached_property
     def ray_index(self) -> dict[IntVec, int]:
         return {v: i for i, v in enumerate(self.rays)}
 
@@ -73,6 +69,13 @@ class Fan:
             for face in itertools.combinations(cone, self.dim - 1):
                 census.setdefault(face, []).append(pos)
         return {f: tuple(ps) for f, ps in census.items()}
+
+    @cached_property
+    def faces(self) -> frozenset[ConeTuple]:
+        """Every nonempty cone of the fan as a sorted index tuple: the rays
+        ``(i,)``, the (dim-1)-faces of `face_census` and the maximal cones."""
+        singletons = ((i,) for i in range(len(self.rays)))
+        return frozenset(itertools.chain(singletons, self.face_census, self.max_cones))
 
 
 @dataclass(frozen=True)
@@ -307,20 +310,23 @@ def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:
     so only subsets of 2 to 4 rays are scanned.
     """
     n = len(fan.rays)
-    cone_sets = fan.cone_sets
+    return tuple(
+        col
+        for size in range(2, min(n, 4) + 1)
+        for col in itertools.combinations(range(n), size)
+        if _is_primitive(fan, col)
+    )
 
-    def is_face(s: frozenset[int]) -> bool:
-        return any(s <= cs for cs in cone_sets)
 
-    out = []
-    for size in range(2, min(n, 4) + 1):
-        for combo in itertools.combinations(range(n), size):
-            s = frozenset(combo)
-            if is_face(s):
-                continue
-            if all(is_face(s - {i}) for i in combo):
-                out.append(combo)
-    return tuple(out)
+def _is_primitive(fan: Fan, col: ConeTuple) -> bool:
+    """Whether the sorted indices ``col`` are a primitive collection: at least
+    two distinct rays that span no face while every subset one ray smaller does."""
+    faces = fan.faces
+    return (
+        len(set(col)) == len(col) >= 2
+        and col not in faces
+        and all(sub in faces for sub in itertools.combinations(col, len(col) - 1))
+    )
 
 
 def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
@@ -335,10 +341,7 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     col = tuple(sorted(collection))
     if not is_smooth(fan):
         raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
-    s = frozenset(col)
-    if any(s <= cs for cs in fan.cone_sets) or not all(
-        any(s - {i} <= cs for cs in fan.cone_sets) for i in col
-    ):
+    if not _is_primitive(fan, col):
         raise ValueError(f"{col} is not a primitive collection of this fan")
     total = tuple(sum(fan.rays[i][k] for i in col) for k in range(fan.dim))
     if all(x == 0 for x in total):
@@ -390,12 +393,13 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
 def contract_ray(fan: Fan, ray_index: int) -> Fan:
     """Remove a ray whose star has one of the two supported blow-down shapes.
 
-    Pattern P1: the link is a triangle whose cone contains the ray in its
-    relative interior; the three star cones collapse to the cone on the link.
-    Pattern P2: the link is a 4-cycle (x, a, y, b) with the ray interior to
-    the 2-cone on a diagonal (a, b); the four star cones collapse to
-    (a, b, x) and (a, b, y). Star subdivision along the removed ray undoes
-    the contraction exactly.
+    Pattern P1: the link is a triangle; the three star cones collapse to the
+    cone on the link. Pattern P2: the link is a 4-cycle (x, a, y, b); the
+    four star cones collapse to (a, b, x) and (a, b, y) for a diagonal
+    (a, b), tried in index order. A candidate is returned only when it is a
+    valid fan and star subdivision along the removed ray gives back the
+    input exactly, which holds iff the ray is interior to the cone on the
+    triangle or to the 2-cone on the diagonal.
     """
     if type(ray_index) is not int or not 0 <= ray_index < len(fan.rays):
         raise FanValidationError(f"no ray with index {ray_index!r}")
@@ -407,57 +411,35 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
     simple = len(set(link_edges)) == len(link_edges) and all(
         d == 2 for d in degrees.values()
     )
-    r = fan.rays[ray_index]
 
-    replacement: list[ConeTuple]
+    candidates: list[list[ConeTuple]]
     if simple and len(star) == 3 and len(vertices) == 3:
-        try:
-            coords = rational.solve_columns([fan.rays[i] for i in vertices], r)
-        except ValueError:  # the link rays are coplanar
-            coords = (0,)
-        if not all(c > 0 for c in coords):
-            raise UnsupportedStarPatternError(
-                f"ray {ray_index} is not interior to the cone on its link"
-            )
-        replacement = [tuple(vertices)]
+        candidates = [[tuple(vertices)]]
+        refusal = f"ray {ray_index} is not interior to the cone on its link"
     elif simple and len(star) == 4 and len(vertices) == 4:
-        edge_set = {tuple(sorted(e)) for e in link_edges}
-        diagonals = [
-            p for p in itertools.combinations(vertices, 2) if p not in edge_set
+        candidates = [
+            [tuple(sorted((a, b, x))) for x in vertices if x not in (a, b)]
+            for a, b in itertools.combinations(vertices, 2)
+            if (a, b) not in link_edges
         ]
-        for a, b in diagonals:
-            if _in_open_2cone(r, fan.rays[a], fan.rays[b]):
-                others = [i for i in vertices if i not in (a, b)]
-                replacement = [
-                    tuple(sorted((a, b, others[0]))),
-                    tuple(sorted((a, b, others[1]))),
-                ]
-                break
-        else:
-            raise UnsupportedStarPatternError(
-                f"ray {ray_index} is not interior to a diagonal of its link"
-            )
+        refusal = f"ray {ray_index} is not interior to a diagonal of its link"
     else:
         raise UnsupportedStarPatternError(
             f"the star of ray {ray_index} is neither a triangle nor a 4-cycle"
         )
 
+    removed = fan.rays[ray_index]
     remap = {old: old - (old > ray_index) for old in range(len(fan.rays))}
     new_rays = [v for i, v in enumerate(fan.rays) if i != ray_index]
-    new_cones = [tuple(sorted(remap[i] for i in cone)) for cone in keep + replacement]
-    return validate_fan(fan.dim, new_rays, new_cones)
-
-
-def _in_open_2cone(r: IntVec, a: IntVec, b: IntVec) -> bool:
-    """Whether a, b are independent and r = s a + t b with s, t > 0: for
-    n = a x b, r is in their span iff n @ r == 0 (n != 0), and then
-    (r x b) @ n = s |n|^2 and (a x r) @ n = t |n|^2, both 0 if n == 0."""
-    n = rational.cross3(a, b)
-    return (
-        rational.dot(n, r) == 0
-        and rational.dot(rational.cross3(r, b), n) > 0
-        and rational.dot(rational.cross3(a, r), n) > 0
-    )
+    for replacement in candidates:
+        new_cones = [tuple(remap[i] for i in cone) for cone in keep + replacement]
+        try:
+            out = validate_fan(fan.dim, new_rays, new_cones)
+            if canonical_key(star_subdivide(out, removed)) == canonical_key(fan):
+                return out
+        except (FanValidationError, NotInSupportError):
+            continue
+    raise UnsupportedStarPatternError(refusal)
 
 
 def canonical_key(fan: Fan):

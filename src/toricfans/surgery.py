@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import NotModifiableWallError, SurgeryInvalidError, FanValidationError
+from .errors import FanValidationError, NotModifiableWallError
 from .fan import Fan, Wall, _is_int_list, canonical_key, validate_fan, wall_circuit, walls
 
 
@@ -97,8 +97,8 @@ def _exchange(
     wall of `fan`) and build the step to it from `fan`, keyed `before_key`."""
     try:
         result = validate_fan(fan.dim, fan.rays, cones)
-    except FanValidationError as exc:  # pragma: no cover - assertion-grade
-        raise SurgeryInvalidError(f"wall exchange produced an invalid fan: {exc}")
+    except FanValidationError as exc:  # a bug here, not malformed input
+        raise AssertionError(f"wall exchange produced an invalid fan: {exc}")
     step = SurgeryStep(
         wall_rays=wall.rays,
         kind=classification.kind,

@@ -3,6 +3,8 @@
 `feasible_by_basis_enumeration` decides ``A x >= b`` by scanning basic
 solutions of row subsets, with no code in common with `lp.solve_system`.
 `int_det` (a Bareiss determinant of any size) and `rref` serve it.
+`contract_by_link_geometry` decides a blow-down by where the ray sits in
+its link, with no round trip through `star_subdivide`.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import itertools
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
+
+from toricfans import validate_fan
+from toricfans.errors import UnsupportedStarPatternError
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -106,3 +111,67 @@ def feasible_by_basis_enumeration(
         ):
             return True
     return False
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _in_open_2cone(r, a, b) -> bool:
+    """Whether a, b are independent and r = s a + t b with s, t > 0: for
+    n = a x b, r is in their span iff n @ r == 0 (n != 0), and then
+    (r x b) @ n = s |n|^2 and (a x r) @ n = t |n|^2, both 0 if n == 0."""
+    n = _cross(a, b)
+    return _dot(n, r) == 0 and _dot(_cross(r, b), n) > 0 and _dot(_cross(a, r), n) > 0
+
+
+def contract_by_link_geometry(fan, ray_index):
+    """Blow down ray ``ray_index`` by the position of the ray in its link.
+
+    A triangle link (a, b, c) is accepted when Cramer's rule puts the ray
+    strictly inside cone(a, b, c); a 4-cycle link when the ray lies in the
+    open 2-cone on one of its diagonals, the first in index order. Raises
+    `UnsupportedStarPatternError` with `contract_ray`'s messages otherwise.
+    """
+    star = [cone for cone in fan.max_cones if ray_index in cone]
+    keep = [cone for cone in fan.max_cones if ray_index not in cone]
+    link_edges = [tuple(i for i in cone if i != ray_index) for cone in star]
+    vertices = sorted({i for e in link_edges for i in e})
+    simple = len(set(link_edges)) == len(link_edges) and all(
+        sum(i in e for e in link_edges) == 2 for i in vertices
+    )
+    r = fan.rays[ray_index]
+    if simple and len(star) == 3 and len(vertices) == 3:
+        basis = [fan.rays[i] for i in vertices]
+        d = int_det(basis)
+        nums = [int_det(basis[:j] + [r] + basis[j + 1 :]) for j in range(3)]
+        if d == 0 or not all(num * d > 0 for num in nums):
+            raise UnsupportedStarPatternError(
+                f"ray {ray_index} is not interior to the cone on its link"
+            )
+        replacement = [tuple(vertices)]
+    elif simple and len(star) == 4 and len(vertices) == 4:
+        diagonals = [
+            (a, b)
+            for a, b in itertools.combinations(vertices, 2)
+            if (a, b) not in link_edges and _in_open_2cone(r, fan.rays[a], fan.rays[b])
+        ]
+        if not diagonals:
+            raise UnsupportedStarPatternError(
+                f"ray {ray_index} is not interior to a diagonal of its link"
+            )
+        a, b = diagonals[0]
+        replacement = [tuple(sorted((a, b, x))) for x in vertices if x not in (a, b)]
+    else:
+        raise UnsupportedStarPatternError(
+            f"the star of ray {ray_index} is neither a triangle nor a 4-cycle"
+        )
+    new_rays = [v for i, v in enumerate(fan.rays) if i != ray_index]
+    new_cones = [
+        [i - (i > ray_index) for i in cone] for cone in keep + replacement
+    ]
+    return validate_fan(3, new_rays, new_cones)

@@ -1,9 +1,30 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from toricfans import build, canonical_key, fanio, projectivity
+import toricfans
+from conftest import CATALOG_INSTANCES, P3_RAYS
+from toricfans import (
+    build,
+    canonical_key,
+    contract_ray,
+    fanio,
+    projectivity,
+    star_subdivide,
+    surgery,
+    validate_fan,
+    walls,
+)
 from toricfans.cli import main
+from toricfans.errors import OverlapError
 
 
 def run(capsys, *argv):
@@ -127,6 +148,24 @@ class TestCheck:
         assert "does not re-verify" in err and "Traceback" not in err
 
 
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        z = write_catalog_fan(tmp_path, "Z13pp", (2, 7, 4, 2))
+        _, out, _ = run(capsys, "check", str(z), "--nef")
+        assert "nontrivial_nef_exists" in json.loads(out)
+        _, out, _ = run(capsys, "check", str(z))
+        assert "nontrivial_nef_exists" not in json.loads(out)
+
+        w = write_catalog_fan(tmp_path, "W7_5")
+        env = {**os.environ, "PYTHONPATH": str(Path(toricfans.__file__).parents[1])}
+        for argv in (["search", str(w), "--flops-only"], ["search", str(w)]):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "toricfans.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 class TestRoundTrip:
     def test_written_fans_reserialize_byte_identically(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "Z13pp", (2, 7, 4, 2))
@@ -162,6 +201,19 @@ class TestSurgeryCommands:
         code, _, err = run(capsys, "surgery", str(path), "--wall", "1,4")
         assert code == 2
         assert "not a wall" in err
+
+    @pytest.mark.parametrize("argv", [("surgery", "--wall", "1,7"), ("search",)])
+    def test_invalid_wall_exchange_exits_three(self, tmp_path, capsys, monkeypatch, argv):
+        path = write_catalog_fan(tmp_path, "W7_5")
+
+        def overlapping(dim, rays, cones):
+            raise OverlapError(cones[0], cones[1])
+
+        monkeypatch.setattr(surgery, "validate_fan", overlapping)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal error:")
 
     @pytest.mark.parametrize("ray", ["1,1", "1,1,1,1"])
     def test_subdivide_ray_of_wrong_length_exits_two(self, tmp_path, capsys, ray):
@@ -274,3 +326,51 @@ class TestEnumerateAndCatalog:
             capsys, "enumerate", "--rays", str(path), "--expect-count", "1"
         )
         assert code == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_fan_files(tmp_path_factory):
+    """Catalog fans, point and curve blow-ups, a non-smooth blow-down and two
+    incomplete fans, written as fan files with their ray counts."""
+    w = build("W7_5")
+    fans = [build(fid, params) for fid, params in CATALOG_INSTANCES[::4]]
+    fans += [
+        star_subdivide(w, [sum(w.rays[i][k] for i in c) for k in range(3)])
+        for c in (w.max_cones[0], walls(w)[0].rays)
+    ]
+    fans += [
+        contract_ray(build("Z2", (0,)), 1),
+        validate_fan(3, w.rays, w.max_cones[1:]),
+        validate_fan(3, P3_RAYS, [(0, 1, 2), (1, 2, 3)]),
+    ]
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = []
+    for n, fan in enumerate(fans):
+        path = folder / f"fan{n}.fan"
+        fanio.save_fan(fan, path)
+        files.append((str(path), len(fan.rays)))
+    return files
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
+    path, n = data.draw(st.sampled_from(fuzz_fan_files))
+    labels = st.lists(st.integers(1, n + 3), min_size=1, max_size=2)
+    argv = data.draw(
+        st.one_of(
+            st.just(["collections", path]),
+            st.just(["relations", path]),
+            labels.map(lambda ks: ["contract", path, "--ray", ",".join(map(str, ks))]),
+        )
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")

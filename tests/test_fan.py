@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -15,7 +16,11 @@ from conftest import (
     ray_index,
     random_unimodular,
 )
-from oracles import feasible_by_basis_enumeration
+from oracles import (
+    _in_open_2cone,
+    contract_by_link_geometry,
+    feasible_by_basis_enumeration,
+)
 from toricfans import (
     build,
     canonical_key,
@@ -54,7 +59,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import _in_open_2cone, _properly_glued, interiors_overlap
+from toricfans.fan import _properly_glued, interiors_overlap
 from toricfans.lp import FeasiblePoint, solve_system
 
 
@@ -351,12 +356,13 @@ class TestPrimitiveCollections:
         for pair in [(0, 2), (1, 5), (3, 7), (4, 6)]:
             assert pair in collections
 
-    def test_matches_uncapped_scan(self):
+    def test_matches_uncapped_scan(self, p3):
         def brute_force(fan):
             n = len(fan.rays)
+            cone_sets = [frozenset(cone) for cone in fan.max_cones]
 
             def is_face(s):
-                return any(s <= cs for cs in fan.cone_sets)
+                return any(s <= cs for cs in cone_sets)
 
             return tuple(
                 combo
@@ -366,8 +372,14 @@ class TestPrimitiveCollections:
                 and all(is_face(frozenset(combo) - {i}) for i in combo)
             )
 
+        w = build("W7_5")
         fans = [build(fid, params) for fid, params in CATALOG_GRID]
         fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+        fans += [
+            p3,  # the only fan here with a 4-ray collection
+            validate_fan(3, w.rays, w.max_cones[1:]),
+            validate_fan(3, P3_RAYS, [(0, 1, 2), (1, 2, 3)]),
+        ]
         for fan in fans:
             assert primitive_collections(fan) == brute_force(fan)
 
@@ -459,6 +471,13 @@ class TestPrimitiveCollections:
     def test_not_a_collection(self, p3):
         with pytest.raises(ValueError):
             primitive_relation(p3, (0, 1))
+
+    @pytest.mark.parametrize(
+        "collection", [(1, 1), (0, 99), (-1, 3), (), (3,), (0, 1, 2, 3, 4)]
+    )
+    def test_malformed_collection_is_not_primitive(self, collection):
+        with pytest.raises(ValueError, match="is not a primitive collection"):
+            primitive_relation(build("W7_5"), collection)
 
     def test_needs_smooth(self):
         z2 = build("Z2", (0,))
@@ -602,6 +621,7 @@ def test_wall_circuit_against_solve_and_direct_evaluation():
     st.sampled_from(["free", "coplanar", "dependent"]),
 )
 def test_in_open_2cone_matches_fraction_solve(coords, shape):
+    # the open 2-cone test that the link-geometry oracle below relies on
     a, b, r = (tuple(coords[k : k + 3]) for k in (0, 3, 6))
     if shape == "coplanar":
         r = tuple(coords[6] * x + coords[7] * y for x, y in zip(a, b))
@@ -619,3 +639,34 @@ def test_in_open_2cone_matches_fraction_solve(coords, shape):
             want = all(s * a[k] + t * b[k] == r[k] for k in range(3)) and s > 0 and t > 0
             break
     assert _in_open_2cone(r, a, b) == want
+
+
+def test_contract_ray_matches_link_geometry():
+    # every ray of a sample of the grid, both 15-ray chains and the 25 point
+    # and curve blow-ups of W7_5, against the position of the ray in its link
+    w = build("W7_5")
+    centres = list(w.max_cones) + [wall.rays for wall in walls(w)]
+    fans = [build(fid, params) for fid, params in CATALOG_GRID[::5]]
+    fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+    fans += [
+        star_subdivide(w, [sum(w.rays[i][k] for i in c) for k in range(3)])
+        for c in centres
+    ]
+    assert len(centres) == 25
+
+    def outcome(contract, fan, k):
+        try:
+            out = contract(fan, k)
+        except UnsupportedStarPatternError as exc:
+            return str(exc)
+        return out.rays, out.max_cones
+
+    branches = collections.Counter()
+    for fan in fans:
+        for k in range(len(fan.rays)):
+            want = outcome(contract_by_link_geometry, fan, k)
+            assert outcome(contract_ray, fan, k) == want
+            star = sum(k in cone for cone in fan.max_cones)
+            branches[star, isinstance(want, tuple)] += 1
+    # triangle and 4-cycle links, each both accepted and refused
+    assert all(branches[star, ok] for star in (3, 4) for ok in (True, False))
