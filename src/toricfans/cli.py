@@ -48,22 +48,25 @@ def _emit(doc) -> None:
     sys.stdout.write(fanio.dumps(doc))
 
 
+# The `_parse_*` converters raise FanError, which argparse does not catch,
+# so `main` reports a rejected value on one stderr line and exits 2, as it
+# does for every other malformed input.
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()
     if value in ("true", "1", "yes"):
         return True
     if value in ("false", "0", "no"):
         return False
-    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    raise FanError(f"expected true or false, got {text!r}")
 
 
 def _parse_label_indices(text: str) -> tuple[int, ...]:
     try:
         labels = tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 1-based labels like 1,7: {text!r}")
+        raise FanError(f"expected 1-based ray labels like 1,7, got {text!r}") from None
     if any(i < 1 for i in labels):
-        raise argparse.ArgumentTypeError("ray labels are 1-based")
+        raise FanError(f"ray labels are 1-based, got {text!r}")
     return tuple(i - 1 for i in labels)
 
 
@@ -71,7 +74,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.replace(" ", "").split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers like 1,1,1: {text!r}")
+        raise FanError(f"expected integers like 1,1,1, got {text!r}") from None
 
 
 def _parse_params(fam: catalog.CatalogFamily, text: str | None) -> tuple[int, ...]:
@@ -242,8 +245,8 @@ def _enumeration_rays(args):
         return fanio.load_fan(source).rays
     try:
         return tuple(_parse_vector(part) for part in source.split(";") if part)
-    except argparse.ArgumentTypeError as exc:
-        raise FanError(f"--rays is neither a file nor an inline ray list: {exc}")
+    except FanError as exc:
+        raise FanError(f"--rays is neither a file nor an inline ray list: {exc}") from None
 
 
 def cmd_enumerate(args) -> int:
@@ -359,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "enumerate" and not (args.rays or args.catalog):
-        parser.error("enumerate needs --rays or --catalog")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "enumerate" and not (args.rays or args.catalog):
+            parser.error("enumerate needs --rays or --catalog")
         return args.func(args)
     except FanError as exc:
         print(exc, file=sys.stderr)

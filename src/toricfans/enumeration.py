@@ -102,8 +102,8 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     seed = _seed_point(rays)
     containing_seed = []
     for idx, cand in enumerate(candidates):
-        coords = rational.solve_columns([rays[i] for i in cand], seed)
-        if all(c > 0 for c in coords):
+        d, numerators = rational.cramer_numerators([rays[i] for i in cand], seed)
+        if all(n * d > 0 for n in numerators):
             containing_seed.append(idx)
 
     by_face: dict[tuple[int, int], list[int]] = {}

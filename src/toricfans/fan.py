@@ -13,7 +13,10 @@ Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
 Whether two cones glue properly or share interior points is decided by one
 exact integer test that looks for a separating plane among the cross
-products of their rays (`_separated`).
+products of their rays (`_separated`). Which maximal cones hold a point is
+decided in integers too, by the signs of its numerators against each
+cone's dual normals (`_cones_containing`); `primitive_relation` and
+`star_subdivide` both use it.
 """
 
 from __future__ import annotations
@@ -344,20 +347,33 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     if not _is_primitive(fan, col):
         raise ValueError(f"{col} is not a primitive collection of this fan")
     total = tuple(sum(fan.rays[i][k] for i in col) for k in range(fan.dim))
-    if all(x == 0 for x in total):
+    if not any(total):
         return PrimitiveRelation(col, (), ())
-    for cone in fan.max_cones:
-        coords = rational.solve_columns([fan.rays[i] for i in cone], total)
-        if all(c >= 0 for c in coords):
-            target = [(i, c) for i, c in zip(cone, coords) if c > 0]
-            if not all(c.denominator == 1 for _, c in target):
-                raise AssertionError(f"relation of {col} has non-integral coefficients")
-            return PrimitiveRelation(
-                col,
-                tuple(i for i, _ in target),
-                tuple(int(c) for _, c in target),
-            )
+    for cone, d, numerators in _cones_containing(fan, total):
+        target = [(i, n) for i, n in zip(cone, numerators) if n > 0]
+        if any(n % d for _, n in target):
+            raise AssertionError(f"relation of {col} has non-integral coefficients")
+        return PrimitiveRelation(
+            col,
+            tuple(i for i, _ in target),
+            tuple(n // d for _, n in target),
+        )
     raise NotCompleteError(f"the ray sum {total} lies in no cone of the fan")
+
+
+def _cones_containing(fan: Fan, v: IntVec):
+    """Yield ``(cone, d, numerators)`` for each maximal cone holding v, in
+    cone order: d > 0 is the cone's determinant up to sign and v is
+    sum(n_j / d * rays[cone[j]]) with every n_j >= 0, positive exactly on the
+    rays of the face whose relative interior holds v. Integer arithmetic
+    only (`rational.cramer_numerators`)."""
+    rays = fan.rays
+    for cone in fan.max_cones:
+        d, (n0, n1, n2) = rational.cramer_numerators([rays[i] for i in cone], v)
+        if d < 0:
+            d, n0, n1, n2 = -d, -n0, -n1, -n2
+        if n0 >= 0 and n1 >= 0 and n2 >= 0:
+            yield cone, d, (n0, n1, n2)
 
 
 def star_subdivide(fan: Fan, new_ray) -> Fan:
@@ -374,19 +390,14 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     if v in fan.ray_index:
         raise RayExistsError(f"{v} is already a ray of the fan")
     new_index = len(fan.rays)
-    touched = False
-    cones_out: list[ConeTuple] = []
-    for cone in fan.max_cones:
-        coords = rational.solve_columns([fan.rays[i] for i in cone], v)
-        if all(c >= 0 for c in coords):
-            touched = True
-            for i, c in zip(cone, coords):
-                if c > 0:
-                    cones_out.append(tuple(sorted((set(cone) - {i}) | {new_index})))
-        else:
-            cones_out.append(cone)
+    touched = {cone: numerators for cone, _, numerators in _cones_containing(fan, v)}
     if not touched:
         raise NotInSupportError(f"{v} lies in no cone of the fan")
+    cones_out = [cone for cone in fan.max_cones if cone not in touched]
+    for cone, numerators in touched.items():
+        for i, n in zip(cone, numerators):
+            if n > 0:
+                cones_out.append(tuple(j for j in cone if j != i) + (new_index,))
     return validate_fan(fan.dim, list(fan.rays) + [v], cones_out)
 
 

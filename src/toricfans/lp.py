@@ -11,9 +11,10 @@ basic ``y``: nonnegative Farkas multipliers with ``y @ A == 0`` and
 ``y @ b > 0``. A feasible one yields a rational point read off the simplex
 multipliers of the positive Phase I optimum. `verify_feasible` and
 `verify_farkas`, the package's only certificate checks, re-verify both by
-direct evaluation, independently of the solver; a witness of the wrong
-length raises ValueError. `fm_feasible` is the same decision without the
-witness. Cone gluing and overlap in `fan` are decided by an exact 3-D
+direct evaluation, independently of the solver; a witness entry that is
+not an ``int`` or a ``Fraction`` fails the check, and a witness of the
+wrong length raises ValueError. `fm_feasible` is the same decision without
+the witness. Cone gluing and overlap in `fan` are decided by an exact 3-D
 separation test.
 """
 
@@ -119,15 +120,21 @@ def fm_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:
     return isinstance(solve_system(rows, rhs), FeasiblePoint)
 
 
+def _exact(values) -> bool:
+    """Whether every entry is an ``int`` or a ``Fraction``; a bool, float or
+    string fails a certificate check instead of being evaluated."""
+    return all(type(v) is int or isinstance(v, Fraction) for v in values)
+
+
 def verify_feasible(rows, rhs, x) -> bool:
-    return all(
+    return _exact(x) and all(
         sum(c * v for c, v in zip(row, x, strict=True)) >= r
         for row, r in zip(rows, rhs, strict=True)
     )
 
 
 def verify_farkas(rows, rhs, multipliers) -> bool:
-    if any(m < 0 for m in multipliers):
+    if not _exact(multipliers) or any(m < 0 for m in multipliers):
         return False
     n = len(rows[0]) if rows else 0
     combo = [sum(m * row[j] for m, row in zip(multipliers, rows, strict=True)) for j in range(n)]

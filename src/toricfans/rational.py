@@ -4,9 +4,11 @@ Everything works on plain tuples/lists of ``int`` or ``fractions.Fraction``;
 no floating point is used anywhere. Matrices are given as sequences of rows.
 
 The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`
-and the 3x3 Cramer solve `solve_columns`.
-`integerize` has no caller in the package; tests use it as a reference and
-perfbench's tracer looks the name up.
+and `cramer_numerators`, which writes a point in a 3x3 basis as integer
+numerators over the basis determinant, so locating a lattice point in a
+cone never builds a `Fraction`. `solve_columns` (the same solve as
+`Fraction`s) and `integerize` have no caller in the package; tests use them
+as references and perfbench's tracer looks the names up.
 """
 
 from __future__ import annotations
@@ -59,19 +61,43 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     )
 
 
-def solve_columns(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vector:
-    """Coefficients c with sum(c_i * vectors[i]) == target, by Cramer's rule.
+def cramer_numerators(
+    vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
+) -> tuple[Scalar, Vector]:
+    """``(d, (n0, n1, n2))`` with ``target == sum(n_j / d * vectors[j])``.
 
-    Needs three linearly independent 3-vectors and a 3-vector target; any
-    other shape, or dependent vectors, raise ValueError.
+    For vectors a, b, c, d is det(a, b, c) and the numerators are the dot
+    products of the target with the dual normals b x c, c x a and a x b, so
+    integer input stays in `int`. Needs three linearly independent
+    3-vectors and a 3-vector target; any other shape, or dependent vectors,
+    raise ValueError.
     """
-    d = determinant(vectors)
+    try:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = vectors
+        v0, v1, v2 = target
+    except ValueError:
+        raise ValueError("cramer_numerators needs three 3-vectors and a 3-vector target") from None
+    # the dual normals b x c, c x a, a x b
+    p0, p1, p2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    q0, q1, q2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    r0, r1, r2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    d = a0 * p0 + a1 * p1 + a2 * p2
     if d == 0:
-        raise ValueError("solve_columns requires linearly independent vectors")
-    return tuple(
-        Fraction(determinant([target if m == j else v for m, v in enumerate(vectors)]), d)
-        for j in range(3)
+        raise ValueError("cramer_numerators requires linearly independent vectors")
+    return d, (
+        v0 * p0 + v1 * p1 + v2 * p2,
+        v0 * q0 + v1 * q1 + v2 * q2,
+        v0 * r0 + v1 * r1 + v2 * r2,
     )
+
+
+def solve_columns(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> Vector:
+    """Coefficients c with sum(c_i * vectors[i]) == target, as `Fraction`s.
+
+    A thin wrapper over `cramer_numerators`, with its shape rules.
+    """
+    d, numerators = cramer_numerators(vectors, target)
+    return tuple(Fraction(n, d) for n in numerators)
 
 
 def integerize(v: Sequence[Scalar]) -> tuple[int, ...]:

@@ -5,6 +5,11 @@ solutions of row subsets, with no code in common with `lp.solve_system`.
 `int_det` (a Bareiss determinant of any size) and `rref` serve it.
 `contract_by_link_geometry` decides a blow-down by where the ray sits in
 its link, with no round trip through `star_subdivide`.
+`fraction_cramer` and `cones_containing_by_fraction_cramer` locate a point
+in the cones of a fan by Fraction coordinates from Cramer's rule, with no
+dual normals; `relation_by_fraction_cramer` and
+`star_cones_by_fraction_cramer` build a primitive relation and a star
+subdivision from that location.
 """
 
 from __future__ import annotations
@@ -111,6 +116,71 @@ def feasible_by_basis_enumeration(
         ):
             return True
     return False
+
+
+def _det3(a, b, c):
+    """The 3x3 determinant by the rule of Sarrus; `int_det` would make the
+    catalog-grid sweep of the cone location several times slower."""
+    return (
+        a[0] * b[1] * c[2] + b[0] * c[1] * a[2] + c[0] * a[1] * b[2]
+        - c[0] * b[1] * a[2] - a[0] * c[1] * b[2] - b[0] * a[1] * c[2]
+    )
+
+
+def fraction_cramer(vectors, target) -> tuple[Fraction, ...]:
+    """Coordinates of ``target`` in the basis ``vectors`` by Cramer's rule,
+    as Fractions; ValueError for a singular basis or a shape other than
+    three 3-vectors and a 3-vector target."""
+    if len(vectors) != 3 or any(len(v) != 3 for v in [*vectors, target]):
+        raise ValueError("needs three 3-vectors and a 3-vector target")
+    a, b, c = vectors
+    d = _det3(a, b, c)
+    if d == 0:
+        raise ValueError("singular basis")
+    return (
+        Fraction(_det3(target, b, c), d),
+        Fraction(_det3(a, target, c), d),
+        Fraction(_det3(a, b, target), d),
+    )
+
+
+def cones_containing_by_fraction_cramer(fan, v) -> list:
+    """``[(cone, coordinates)]`` for every maximal cone, in cone order, in
+    which the Fraction coordinates of v are all >= 0."""
+    out = []
+    for cone in fan.max_cones:
+        coords = fraction_cramer([fan.rays[i] for i in cone], v)
+        if all(c >= 0 for c in coords):
+            out.append((cone, coords))
+    return out
+
+
+def relation_by_fraction_cramer(fan, col) -> tuple[tuple, tuple]:
+    """``(target_rays, coefficients)`` of the primitive relation of ``col``:
+    the positive coordinates of its ray sum in the first cone holding it."""
+    total = [sum(fan.rays[i][k] for i in col) for k in range(3)]
+    if not any(total):
+        return (), ()
+    cone, coords = cones_containing_by_fraction_cramer(fan, total)[0]
+    target = [(i, c) for i, c in zip(cone, coords) if c > 0]
+    return tuple(i for i, _ in target), tuple(c for _, c in target)
+
+
+def star_cones_by_fraction_cramer(fan, v):
+    """The sorted maximal cones of the star subdivision at a new ray v, which
+    gets the next index, or None when v lies in no cone."""
+    new_index = len(fan.rays)
+    hits = dict(cones_containing_by_fraction_cramer(fan, v))
+    if not hits:
+        return None
+    cones = [cone for cone in fan.max_cones if cone not in hits]
+    for cone, coords in hits.items():
+        cones += [
+            tuple(sorted((set(cone) - {i}) | {new_index}))
+            for i, c in zip(cone, coords)
+            if c > 0
+        ]
+    return sorted(cones)
 
 
 def _cross(u, v):

@@ -222,6 +222,26 @@ class TestSurgeryCommands:
         assert code == 2
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("contract", "--ray", "0"),
+            ("contract", "--ray=-2"),
+            ("contract", "--ray", "1,x"),
+            ("surgery", "--wall", "x"),
+            ("surgery", "--wall", "0,7"),
+            ("subdivide", "--ray", "1,a,1"),
+            ("check", "--expect-projective", "maybe"),
+        ],
+    )
+    def test_rejected_argument_value_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert "usage:" not in err and "Traceback" not in err
+
     def test_subdivide_and_contract_are_inverse(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "W7_5")
         blown = tmp_path / "blown.fan"
@@ -356,12 +376,14 @@ def fuzz_fan_files(tmp_path_factory):
 @given(st.data())
 def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
     path, n = data.draw(st.sampled_from(fuzz_fan_files))
-    labels = st.lists(st.integers(1, n + 3), min_size=1, max_size=2)
+    # labels from -2 (0 and below are refused) to past the last ray; the
+    # "--ray=" form keeps argparse from reading "-1,2" as an option
+    labels = st.lists(st.integers(-2, n + 3), min_size=1, max_size=2)
     argv = data.draw(
         st.one_of(
             st.just(["collections", path]),
             st.just(["relations", path]),
-            labels.map(lambda ks: ["contract", path, "--ray", ",".join(map(str, ks))]),
+            labels.map(lambda ks: ["contract", path, "--ray=" + ",".join(map(str, ks))]),
         )
     )
     out, err = io.StringIO(), io.StringIO()

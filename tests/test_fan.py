@@ -18,8 +18,11 @@ from conftest import (
 )
 from oracles import (
     _in_open_2cone,
+    cones_containing_by_fraction_cramer,
     contract_by_link_geometry,
     feasible_by_basis_enumeration,
+    relation_by_fraction_cramer,
+    star_cones_by_fraction_cramer,
 )
 from toricfans import (
     build,
@@ -59,7 +62,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import _properly_glued, interiors_overlap
+from toricfans.fan import _cones_containing, _properly_glued, interiors_overlap
 from toricfans.lp import FeasiblePoint, solve_system
 
 
@@ -670,3 +673,65 @@ def test_contract_ray_matches_link_geometry():
             branches[star, isinstance(want, tuple)] += 1
     # triangle and 4-cycle links, each both accepted and refused
     assert all(branches[star, ok] for star in (3, 4) for ok in (True, False))
+
+
+def _location_fans():
+    """The catalog grid, both 21-ray chains, the 25 point and curve blow-ups
+    of W7_5 and the non-smooth blow-down of Z2(0), each with the stride k
+    of the sums at which star subdivisions are compared (None for none)."""
+    w = build("W7_5")
+    centres = list(w.max_cones) + [wall.rays for wall in walls(w)]
+    assert len(centres) == 25
+    # validate_fan on each subdivided fan dominates, so the grid and the
+    # chains compare a sample of their subdivisions
+    fans = [
+        (build(fid, params), 1 if n % 20 == 0 else None)
+        for n, (fid, params) in enumerate(CATALOG_GRID)
+    ]
+    fans += [(blowup_chain("W7_5", (), 21), 7), (blowup_chain("Z2", (1,), 21), 7)]
+    fans += [
+        (star_subdivide(w, [sum(w.rays[i][k] for i in c) for k in range(3)]), 3)
+        for c in centres
+    ]
+    fans.append((contract_ray(build("Z2", (0,)), 1), 1))
+    return fans
+
+
+def _primitive_direction(v):
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def test_cone_location_matches_fraction_cramer():
+    # the integer cone location at every cone sum, wall sum and ray, and every
+    # primitive relation, against the Fraction loop; star subdivisions at a
+    # sample of those sums, and at every ray, which must be refused
+    subdivisions = 0
+    fans = _location_fans()
+    assert sum(not is_smooth(fan) for fan, _ in fans) == 1
+    for fan, every in fans:
+        if is_smooth(fan):
+            for col in primitive_collections(fan):
+                rel = primitive_relation(fan, col)
+                assert (rel.target_rays, rel.coefficients) == relation_by_fraction_cramer(fan, col)
+        sums = [
+            _primitive_direction([sum(fan.rays[i][k] for i in face) for k in range(3)])
+            for face in list(fan.max_cones) + [wall.rays for wall in walls(fan)]
+        ]
+        for v in sums + list(fan.rays):
+            got = [
+                (cone, tuple(Fraction(n, d) for n in numerators))
+                for cone, d, numerators in _cones_containing(fan, v)
+            ]
+            assert got == cones_containing_by_fraction_cramer(fan, v)
+        if every is None:
+            continue
+        for v in sums[::every]:
+            out = star_subdivide(fan, v)
+            assert out.rays == fan.rays + (v,)
+            assert list(out.max_cones) == star_cones_by_fraction_cramer(fan, v)
+            subdivisions += 1
+        for v in fan.rays:
+            with pytest.raises(RayExistsError):
+                star_subdivide(fan, v)
+    assert subdivisions > 700

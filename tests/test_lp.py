@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CATALOG_INSTANCES
 from oracles import feasible_by_basis_enumeration
+from toricfans import build, is_smooth
 from toricfans.lp import (
     FarkasCertificate,
     FeasiblePoint,
@@ -15,6 +18,7 @@ from toricfans.lp import (
     verify_farkas,
     verify_feasible,
 )
+from toricfans.projectivity import _ample_system, _effective_system
 
 
 def _random_system(rng):
@@ -165,3 +169,99 @@ def test_degenerate_systems_terminate(rows, rhs, feasible):
         assert verify_feasible(rows, rhs, out.x)
     else:
         assert verify_farkas(rows, rhs, out.multipliers)
+
+
+def _reference_verify(rows, rhs, witness, farkas):
+    """The verifiers' contract evaluated entry by entry in Fraction
+    arithmetic: an entry that is not an int or a Fraction fails, and a
+    witness of the wrong length raises ValueError."""
+    if any(type(v) is not int and not isinstance(v, Fraction) for v in witness):
+        return False
+    if not farkas:
+        return all(
+            sum(Fraction(c) * v for c, v in zip(row, witness, strict=True)) >= r
+            for row, r in zip(rows, rhs, strict=True)
+        )
+    if any(m < 0 for m in witness):
+        return False
+    n = len(rows[0]) if rows else 0
+    combo = [
+        sum(Fraction(m) * row[j] for m, row in zip(witness, rows, strict=True))
+        for j in range(n)
+    ]
+    total = sum(Fraction(m) * r for m, r in zip(witness, rhs, strict=True))
+    return all(c == 0 for c in combo) and total > 0
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return ValueError
+
+
+_MUTATIONS = {
+    "none": lambda w, k: w,
+    "plus-seventh": lambda w, k: w[:k] + [w[k] + Fraction(1, 7)] + w[k + 1 :],
+    "minus-seventh": lambda w, k: w[:k] + [w[k] - Fraction(1, 7)] + w[k + 1 :],
+    "sign-flip": lambda w, k: w[:k] + [-w[k]] + w[k + 1 :],
+    "dropped": lambda w, k: w[:k] + w[k + 1 :],
+    "float": lambda w, k: w[:k] + [float(w[k])] + w[k + 1 :],
+    "bool": lambda w, k: w[:k] + [w[k] != 0] + w[k + 1 :],
+    "str": lambda w, k: w[:k] + [str(w[k])] + w[k + 1 :],
+}
+
+
+def _check_mutation(rows, rhs, out, kind, k):
+    farkas = isinstance(out, FarkasCertificate)
+    witness = _MUTATIONS[kind](list(out.multipliers if farkas else out.x), k)
+    verify = verify_farkas if farkas else verify_feasible
+    got = _outcome(verify, rows, rhs, witness)
+    assert got == _outcome(_reference_verify, rows, rhs, witness, farkas)
+    if kind == "none":
+        assert got is True
+    elif kind in ("float", "bool", "str"):
+        assert got is False
+    elif kind == "dropped" and rows:
+        assert got is ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems(), st.sampled_from(sorted(_MUTATIONS)), st.data())
+def test_verifiers_match_fraction_reference_on_mutated_witnesses(system, kind, data):
+    rows, rhs = system
+    out = solve_system(rows, rhs)
+    size = len(out.multipliers if isinstance(out, FarkasCertificate) else out.x)
+    if size == 0:
+        kind, k = "none", 0
+    else:
+        k = data.draw(st.integers(0, size - 1))
+    _check_mutation(rows, rhs, out, kind, k)
+
+
+def test_verifiers_match_fraction_reference_on_projectivity_systems():
+    # the solver's witnesses for catalog wall and effective-ample systems,
+    # and every mutation of their first and last entries
+    kinds = collections.Counter()
+    for fid, params in CATALOG_INSTANCES:
+        fan = build(fid, params)
+        systems = [_ample_system(fan)] + ([_effective_system(fan)] if is_smooth(fan) else [])
+        for rows, rhs in systems:
+            out = solve_system(rows, rhs)
+            size = len(out.multipliers if isinstance(out, FarkasCertificate) else out.x)
+            for kind in _MUTATIONS:
+                for k in (0, size - 1):
+                    _check_mutation(rows, rhs, out, kind, k)
+            kinds[type(out).__name__] += 1
+    assert kinds["FeasiblePoint"] and kinds["FarkasCertificate"]
+
+
+@pytest.mark.parametrize(
+    "x, y", [(2.0, 1.0), (True, True), ("2", "1")], ids=["float", "bool", "str"]
+)
+def test_verifiers_reject_entries_that_are_not_int_or_fraction(x, y):
+    # each witness passes with the int its entry stands for, and fails as is
+    assert verify_feasible([(1,)], [1], [2])
+    assert verify_feasible([(1,)], [1], [x]) is False
+    assert verify_farkas([(1,), (-1,)], [1, 0], [1, 1])
+    assert verify_farkas([(1,), (-1,)], [1, 0], [1, y]) is False

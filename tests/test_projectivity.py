@@ -9,6 +9,7 @@ import pytest
 from conftest import CATALOG_GRID, CATALOG_INSTANCES, blowup_chain, gauge_fixed_wall_rows
 from oracles import feasible_by_basis_enumeration
 import toricfans
+from toricfans import cli, fanio, rational
 from toricfans import (
     ObstructionWitness,
     ProjectivityCertificate,
@@ -373,3 +374,16 @@ def test_every_ladder_rung_is_decided_with_certificates(fid, params):
         if witness is not None:
             assert verify_obstruction(fan, witness), (fid, top)
             assert not projective, (fid, top)
+
+
+def test_ladder_certificate_stays_in_integers(tmp_path, monkeypatch, capsys):
+    # `check --certificate` on the 21-ray W7_5 rung locates every relation by
+    # integer dual normals, never by a Fraction solve
+    path = tmp_path / "rung.fan"
+    fanio.save_fan(blowup_chain("W7_5", (), 21), path)
+    calls = []
+    real = rational.solve_columns
+    monkeypatch.setattr(rational, "solve_columns", lambda *args: calls.append(args) or real(*args))
+    assert cli.main(["check", str(path), "--certificate"]) == 0
+    assert '"effective_ample_obstruction"' in capsys.readouterr().out
+    assert calls == []

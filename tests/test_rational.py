@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import int_det
+from conftest import random_unimodular
+from oracles import fraction_cramer, int_det
 from toricfans import rational
 
 
@@ -78,6 +81,45 @@ def test_solve_columns_random_roundtrip():
             sum(w * v[k] for w, v in zip(want, vecs)) for k in range(3)
         ]
         assert rational.solve_columns(vecs, target) == tuple(want)
+
+
+@st.composite
+def _column_sets(draw):
+    """A kind and three integer 3-vectors of that kind, plus a target:
+    determinant +-1, determinant > 1, determinant < -1, or singular."""
+    kind = draw(st.sampled_from(["unimodular", "positive", "negative", "singular"]))
+    entries = st.integers(-6, 6)
+    if kind == "unimodular":
+        vectors = random_unimodular(draw(st.randoms(use_true_random=False)))
+    elif kind == "singular":
+        a, b = ([draw(entries) for _ in range(3)] for _ in range(2))
+        p, q = draw(entries), draw(entries)
+        vectors = draw(st.permutations([a, b, [p * x + q * y for x, y in zip(a, b)]]))
+    else:
+        vectors = [[draw(entries) for _ in range(3)] for _ in range(3)]
+        d = int_det(vectors)
+        assume(abs(d) > 1)
+        if (d < 0) != (kind == "negative"):
+            vectors[0], vectors[1] = vectors[1], vectors[0]
+    return kind, vectors, [draw(st.integers(-20, 20)) for _ in range(3)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_column_sets())
+def test_cramer_numerators_and_solve_columns_match_fraction_cramer(case):
+    kind, vectors, target = case
+    if kind == "singular":
+        for solve in (rational.cramer_numerators, rational.solve_columns, fraction_cramer):
+            with pytest.raises(ValueError):
+                solve(vectors, target)
+        return
+    want = fraction_cramer(vectors, target)
+    d, numerators = rational.cramer_numerators(vectors, target)
+    assert all(type(x) is int for x in (d, *numerators))
+    assert d == int_det(vectors)
+    assert {"unimodular": abs(d) == 1, "positive": d > 1, "negative": d < -1}[kind]
+    assert tuple(Fraction(n, d) for n in numerators) == want
+    assert rational.solve_columns(vectors, target) == want
 
 
 def test_cross3_is_orthogonal_kernel():
