@@ -60,6 +60,13 @@ def _parse_bool(text: str) -> bool:
     raise FanError(f"expected true or false, got {text!r}")
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FanError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_label_indices(text: str) -> tuple[int, ...]:
     try:
         labels = tuple(int(part) for part in text.replace(" ", "").split(","))
@@ -131,7 +138,8 @@ def cmd_check(args) -> int:
                     fanio.obstruction_to_doc(witness) if witness else None
                 )
         if args.nef:
-            doc["nontrivial_nef_exists"] = nontrivial_nef_exists(fan)
+            # an ample class is a nontrivial nef one, so skip the LP
+            doc["nontrivial_nef_exists"] = projective or nontrivial_nef_exists(fan)
     _emit(doc)
     if args.expect_projective is not None and doc["projective"] != args.expect_projective:
         print(
@@ -332,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="breadth-first search for a projective model")
     p.add_argument("fanfile")
-    p.add_argument("--max-depth", type=int, default=4)
+    p.add_argument("--max-depth", type=_parse_int, default=4)
     p.add_argument("--flops-only", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("graph", help="emit the surgery graph to a fixed depth")
     p.add_argument("fanfile")
-    p.add_argument("--max-depth", type=int, default=1)
+    p.add_argument("--max-depth", type=_parse_int, default=1)
     p.add_argument("--flops-only", action="store_true")
     p.add_argument("--dot", action="store_true", help="DOT digraph instead of JSON")
     p.set_defaults(func=cmd_graph)
@@ -347,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rays", help="fan file or inline rays like 1,0,0;0,1,0;...")
     p.add_argument("--catalog", help="take the rays of this catalog family")
     p.add_argument("--params", help="catalog parameters like a=2,b=7")
-    p.add_argument("--expect-count", type=int, default=None)
+    p.add_argument("--expect-count", type=_parse_int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("catalog", help="emit a catalog fan file")

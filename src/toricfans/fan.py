@@ -2,12 +2,11 @@
 
 A fan is stored as its list of primitive ray generators together with the
 maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
-Fans are immutable after validation; every operation is a pure function
-returning new values, so fans are safe to share between threads. A `Fan`
-only adds lazily built lookup tables (`faces`, `ray_index`, `face_census`),
-which are the same whichever thread builds them and are never mutated;
-wall circuits are recomputed on each call from four 3x3 determinants
-(`wall_circuit`).
+Fans are immutable; every operation is a pure function returning new
+values, so fans are safe to share between threads. A `Fan` only adds lazily
+built lookup tables (`faces`, `ray_index`, `face_census`), which are the
+same whichever thread builds them and are never mutated; wall circuits are
+recomputed on each call from four 3x3 determinants (`wall_circuit`).
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
@@ -52,8 +51,10 @@ ConeTuple = tuple[int, ...]
 class Fan:
     """A simplicial fan given by primitive rays and full-dimensional cones.
 
-    Construct instances through `validate_fan`; the other operations in this
-    package validate their own results.
+    Input enters through `validate_fan`, which checks the whole fan, as do
+    the candidates of `contract_ray` and `change_basis`. `star_subdivide`
+    and the wall exchanges of `surgery` build their results directly from a
+    local edit of a valid fan, which keeps it valid.
     """
 
     dim: int
@@ -380,7 +381,9 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     """Refine the fan along a new primitive ray (the toric blow-up).
 
     Every maximal cone containing the ray is replaced by the joins of the ray
-    with the facets not containing it; all other cones are untouched.
+    with the facets not containing it; all other cones are untouched. That
+    stellar edit keeps a fan valid, and swapping ray i for the new ray scales
+    a cone's determinant by n_i / d > 0, so the result is not revalidated.
     """
     if not _is_int_list(new_ray) or len(new_ray) != fan.dim:
         raise FanValidationError(f"subdivision ray {new_ray!r} is not an integer 3-vector")
@@ -398,7 +401,7 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
         for i, n in zip(cone, numerators):
             if n > 0:
                 cones_out.append(tuple(j for j in cone if j != i) + (new_index,))
-    return validate_fan(fan.dim, list(fan.rays) + [v], cones_out)
+    return Fan(fan.dim, fan.rays + (v,), tuple(sorted(cones_out)))
 
 
 def contract_ray(fan: Fan, ray_index: int) -> Fan:

@@ -2,12 +2,12 @@
 
 Nodes are fans on the start fan's ray list, which wall exchanges never
 change, so a sorted cone tuple identifies a fan as its canonical key does.
-It is looked up before a fan is built, so each distinct fan is built and
-validated once. Edges are `SurgeryStep`s. `projectivize` stops at the first
-projective fan, so the returned sequence has minimum length over the
-explored edge relation, with ties broken by wall order and then discovery
-order. Failure at the depth bound proves nothing: the search is a
-semi-decision procedure.
+It is looked up before a fan is built, so each distinct fan is built once,
+from its two-cone edit (`surgery._exchange`). Edges are `SurgeryStep`s.
+`projectivize` stops at the first projective fan, so the returned sequence
+has minimum length over the explored edge relation, with ties broken by
+wall order and then discovery order. Failure at the depth bound proves
+nothing: the search is a semi-decision procedure.
 """
 
 from __future__ import annotations

@@ -8,6 +8,10 @@ anticanonical degree (the coefficient sum of the circuit) sorts the exchange
 into flip (positive), flop (zero) or anti-flip (negative). Walls whose
 circuit has a nonnegative wall-ray coefficient contract a divisor or a fiber
 and admit no such exchange.
+
+An exchange is a bistellar flip: the circuit's sign pattern (-,-,+,+) makes
+the two new cones cover exactly the two old ones, so `_exchange` builds the
+result from that local edit instead of revalidating the whole fan.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import enum
 from dataclasses import dataclass
 
 from .errors import FanValidationError, NotModifiableWallError
-from .fan import Fan, Wall, _is_int_list, canonical_key, validate_fan, wall_circuit, walls
+from .fan import Fan, Wall, _is_int_list, canonical_key, wall_circuit, walls
+from .rational import determinant
 
 
 class WallKind(enum.Enum):
@@ -76,8 +81,11 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
     The ray set and the number of maximal cones are unchanged; only the two
     cones through the wall are replaced, so the result is isomorphic to the
     input in codimension one. Anti-flips may produce non-smooth fans, which
-    are first-class values here.
+    are first-class values here. A wall that is not a wall of `fan` is
+    rejected.
     """
+    if wall not in walls(fan):
+        raise FanValidationError(f"{wall} is not a wall of the fan")
     classification = classify_wall(fan, wall)
     if classification.kind not in MODIFIABLE:
         raise NotModifiableWallError(
@@ -93,12 +101,16 @@ def _exchange(
     cones: tuple[tuple[int, ...], ...],
     before_key: tuple,
 ) -> tuple[Fan, SurgeryStep]:
-    """Validate the fan on `cones` (the `exchanged_cones` of a modifiable
-    wall of `fan`) and build the step to it from `fan`, keyed `before_key`."""
-    try:
-        result = validate_fan(fan.dim, fan.rays, cones)
-    except FanValidationError as exc:  # a bug here, not malformed input
-        raise AssertionError(f"wall exchange produced an invalid fan: {exc}")
+    """Build the fan on `cones` (the `exchanged_cones` of a modifiable wall
+    of `fan`) and the step to it from `fan`, keyed `before_key`.
+
+    Only the two new cones are checked: a zero determinant is a bug here,
+    not malformed input, so it raises `AssertionError` (exit 3 in the CLI).
+    """
+    c, d = wall.off_rays
+    if any(determinant([fan.rays[i] for i in (c, d, k)]) == 0 for k in wall.rays):
+        raise AssertionError(f"wall exchange at {wall.rays} made a degenerate cone")
+    result = Fan(fan.dim, fan.rays, cones)
     step = SurgeryStep(
         wall_rays=wall.rays,
         kind=classification.kind,

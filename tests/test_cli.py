@@ -15,6 +15,7 @@ from conftest import CATALOG_INSTANCES, P3_RAYS
 from toricfans import (
     build,
     canonical_key,
+    cli,
     contract_ray,
     fanio,
     projectivity,
@@ -24,7 +25,6 @@ from toricfans import (
     walls,
 )
 from toricfans.cli import main
-from toricfans.errors import OverlapError
 
 
 def run(capsys, *argv):
@@ -73,6 +73,13 @@ class TestCheck:
         path = write_catalog_fan(tmp_path, "Z12")
         _, out, _ = run(capsys, "check", str(path), "--nef")
         assert json.loads(out)["nontrivial_nef_exists"] is False
+
+    def test_nef_flag_skips_the_lp_on_projective_fans(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "nontrivial_nef_exists", calls.append)
+        _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "Z10")), "--nef")
+        assert json.loads(out)["nontrivial_nef_exists"] is True
+        assert calls == []
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"
@@ -205,11 +212,8 @@ class TestSurgeryCommands:
     @pytest.mark.parametrize("argv", [("surgery", "--wall", "1,7"), ("search",)])
     def test_invalid_wall_exchange_exits_three(self, tmp_path, capsys, monkeypatch, argv):
         path = write_catalog_fan(tmp_path, "W7_5")
-
-        def overlapping(dim, rays, cones):
-            raise OverlapError(cones[0], cones[1])
-
-        monkeypatch.setattr(surgery, "validate_fan", overlapping)
+        # the exchange's local check finds a degenerate new cone
+        monkeypatch.setattr(surgery, "determinant", lambda columns: 0)
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert code == 3
         assert out == ""
@@ -232,6 +236,8 @@ class TestSurgeryCommands:
             ("surgery", "--wall", "0,7"),
             ("subdivide", "--ray", "1,a,1"),
             ("check", "--expect-projective", "maybe"),
+            ("search", "--max-depth", "x"),
+            ("graph", "--max-depth", "1.5"),
         ],
     )
     def test_rejected_argument_value_exits_two_with_one_line(self, tmp_path, capsys, argv):
@@ -332,6 +338,14 @@ class TestEnumerateAndCatalog:
         )
         assert code == 1
         assert "expected 1" in err
+
+    def test_enumerate_rejects_non_integer_expect_count(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "--catalog", "W7_5", "--expect-count", "one"
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "usage:" not in err
 
     def test_enumerate_inline_rays(self, capsys):
         code, out, _ = run(

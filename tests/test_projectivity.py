@@ -139,6 +139,17 @@ class TestNontrivialNef:
     def test_w75_has_semiample(self):
         assert nontrivial_nef_exists(build("W7_5"))
 
+    def test_projective_implies_nontrivial_nef_on_catalog_grid(self):
+        # an ample class is nef and positive on every wall curve, so
+        # `check --nef` may answer True without the LP on a projective fan
+        projective = 0
+        for fid, params in CATALOG_GRID:
+            fan = build(fid, params)
+            if is_projective(fan)[0]:
+                assert nontrivial_nef_exists(fan)
+                projective += 1
+        assert projective == 155
+
     def test_one_lp_matches_one_lp_per_wall(self):
         # Reference: {d nef, circuit_w @ d >= 1} for each wall w in turn.
         fans = [build(fid, params) for fid, params in CATALOG_GRID]

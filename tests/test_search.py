@@ -15,8 +15,10 @@ from toricfans import (
     validate_fan,
     walls,
 )
+from toricfans import fan as fan_module
 from toricfans import search, surgery
 from toricfans.errors import NotCompleteError
+from toricfans.fan import Fan
 from toricfans.search import GraphNode, SearchResult, SurgeryGraph
 from toricfans.surgery import MODIFIABLE, WallKind
 
@@ -197,17 +199,25 @@ def test_search_and_graph_match_reference_bfs(fid, params):
             )
 
 
-def test_graph_validates_each_new_fan_once(monkeypatch):
-    calls = []
+def test_graph_builds_each_new_fan_once_without_validation(monkeypatch):
+    start = build("Z13pp", (2, 7, 4, 2))
+    built, validated = [], []
+
+    def counting_fan(*args):
+        built.append(args)
+        return Fan(*args)
 
     def counting_validate_fan(*args):
-        calls.append(args)
+        validated.append(args)
         return validate_fan(*args)
 
-    monkeypatch.setattr(surgery, "validate_fan", counting_validate_fan)
-    graph = surgery_graph(build("Z13pp", (2, 7, 4, 2)), 3)
+    monkeypatch.setattr(surgery, "Fan", counting_fan)
+    monkeypatch.setattr(fan_module, "validate_fan", counting_validate_fan)
+    assert not hasattr(search, "validate_fan") and not hasattr(surgery, "validate_fan")
+    graph = surgery_graph(start, 3)
     assert len(graph.edges) > len(graph.nodes) - 1  # some edges reach a seen fan
-    assert len(calls) == len(graph.nodes) - 1
+    assert len(built) == len(graph.nodes) - 1
+    assert validated == []
 
 
 def test_graph_classifies_each_wall_and_keys_each_fan_once(monkeypatch):

@@ -14,8 +14,8 @@ from toricfans import (
     wall_circuit,
     walls,
 )
-from toricfans.errors import NotModifiableWallError
-from toricfans.surgery import WallKind
+from toricfans.errors import FanValidationError, NotModifiableWallError
+from toricfans.surgery import MODIFIABLE, WallKind
 
 
 class TestClassification:
@@ -92,6 +92,25 @@ class TestSurgery:
     def test_not_modifiable_raises(self, p3):
         with pytest.raises(NotModifiableWallError):
             perform_surgery(p3, walls(p3)[0])
+
+    def test_wall_of_another_fan_is_rejected(self):
+        # modifiable walls of catalog fans applied to other fans with the
+        # same ray count; without the membership check some of them gave
+        # invalid fans
+        fans = [build(fid, params) for fid, params in CATALOG_INSTANCES]
+        foreign = 0
+        for fan in fans:
+            own = set(walls(fan))
+            for other in fans:
+                if other is fan or len(other.rays) != len(fan.rays):
+                    continue
+                for wall in walls(other):
+                    if wall in own or classify_wall(other, wall).kind not in MODIFIABLE:
+                        continue
+                    with pytest.raises(FanValidationError, match="not a wall"):
+                        perform_surgery(fan, wall)
+                    foreign += 1
+        assert foreign > 100
 
     def test_z12_flop_to_projective(self):
         # the exchange across the wall carrying v1 + v5 = v2 + v4
