@@ -4,16 +4,20 @@ Reads and writes the JSON fan file format, prints one JSON document per
 command on standard output (DOT for ``graph --dot``), and encodes verdicts in
 the exit status: 0 success, 1 a requested assertion failed (``--expect-*``),
 2 malformed input, 3 an internal consistency check failed (such as a
-certificate that does not re-verify), which is a bug in this package. Ray
-indices inside documents are 0-based; arguments such as ``--wall 1,7`` and
-``--ray 2`` use the 1-based v1..vN labels that also appear in ``label``
-fields.
+certificate that does not re-verify), which is a bug in this package. Every
+rejection, whether argparse's, a value converter's, an unwritable
+``--output`` or a command's own, is a `FanError` that `main` prints as one
+stderr line before returning 2. Ray indices inside documents are 0-based;
+arguments such as ``--wall 1,7`` and ``--ray 2`` use the 1-based v1..vN
+labels that also appear in ``label`` fields; a negative vector such as
+``--ray -1,-2,-2`` may follow a space.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -48,9 +52,8 @@ def _emit(doc) -> None:
     sys.stdout.write(fanio.dumps(doc))
 
 
-# The `_parse_*` converters raise FanError, which argparse does not catch,
-# so `main` reports a rejected value on one stderr line and exits 2, as it
-# does for every other malformed input.
+# The `_parse_*` converters raise FanError, which argparse passes through
+# unchanged, so a rejected value reaches `main` with its own message.
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()
     if value in ("true", "1", "yes"):
@@ -58,13 +61,6 @@ def _parse_bool(text: str) -> bool:
     if value in ("false", "0", "no"):
         return False
     raise FanError(f"expected true or false, got {text!r}")
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FanError(f"expected an integer, got {text!r}") from None
 
 
 def _parse_label_indices(text: str) -> tuple[int, ...]:
@@ -87,6 +83,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 def _parse_params(fam: catalog.CatalogFamily, text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
+    if not fam.param_names:
+        raise FanError(f"{fam.family_id} takes no --params")
     usage = f"{fam.family_id} takes --params " + ",".join(
         n + "=<int>" for n in fam.param_names
     )
@@ -94,7 +92,7 @@ def _parse_params(fam: catalog.CatalogFamily, text: str | None) -> tuple[int, ..
     for part in text.split(","):
         name, sep, raw = part.partition("=")
         name = name.strip()
-        if not sep or name not in fam.param_names:
+        if not sep or name not in fam.param_names or name in values:
             raise FanError(usage)
         try:
             values[name] = int(raw)
@@ -245,7 +243,7 @@ def cmd_graph(args) -> int:
 
 
 def _enumeration_rays(args):
-    if args.catalog:
+    if args.catalog is not None:
         fam = catalog.family(args.catalog)
         return catalog.build(args.catalog, _parse_params(fam, args.params)).rays
     source = args.rays
@@ -289,11 +287,29 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises `FanError` instead of exiting.
+
+    `add_subparsers` builds every subparser with this class, so a missing,
+    unknown or invalid argument anywhere reaches `main` as one message.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes an argument that starts with "-" for an option unless
+        # this private pattern (the same in CPython 3.6-3.13) matches it; it is
+        # widened from numbers to integer lists like -1,-2,-2 or -1,0,0;0,1,0
+        self._negative_number_matcher = re.compile(r"^-\d+([,;]-?\d+)*$|^-\d*\.\d+$")
+
+    def error(self, message):
+        raise FanError(f"{self.prog}: {message}")
+
+
 # Built once per process: each parse_args call fills a fresh namespace from
 # the parser's defaults, so no state carries over between calls.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricfans",
         description="Exact checks and surgeries for simplicial lattice fans in R^3.",
     )
@@ -340,22 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="breadth-first search for a projective model")
     p.add_argument("fanfile")
-    p.add_argument("--max-depth", type=_parse_int, default=4)
+    p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--flops-only", action="store_true")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("graph", help="emit the surgery graph to a fixed depth")
     p.add_argument("fanfile")
-    p.add_argument("--max-depth", type=_parse_int, default=1)
+    p.add_argument("--max-depth", type=int, default=1)
     p.add_argument("--flops-only", action="store_true")
     p.add_argument("--dot", action="store_true", help="DOT digraph instead of JSON")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("enumerate", help="all smooth complete fans on a ray set")
-    p.add_argument("--rays", help="fan file or inline rays like 1,0,0;0,1,0;...")
-    p.add_argument("--catalog", help="take the rays of this catalog family")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rays", help="fan file or inline rays like 1,0,0;0,1,0;...")
+    source.add_argument("--catalog", help="take the rays of this catalog family")
     p.add_argument("--params", help="catalog parameters like a=2,b=7")
-    p.add_argument("--expect-count", type=_parse_int, default=None)
+    p.add_argument("--expect-count", type=int, default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("catalog", help="emit a catalog fan file")
@@ -369,11 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "enumerate" and not (args.rays or args.catalog):
-            parser.error("enumerate needs --rays or --catalog")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FanError as exc:
         print(exc, file=sys.stderr)

@@ -4,9 +4,9 @@ A fan is stored as its list of primitive ray generators together with the
 maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
 Fans are immutable; every operation is a pure function returning new
 values, so fans are safe to share between threads. A `Fan` only adds lazily
-built lookup tables (`faces`, `ray_index`, `face_census`), which are the
-same whichever thread builds them and are never mutated; wall circuits are
-recomputed on each call from four 3x3 determinants (`wall_circuit`).
+built lookup tables (`faces`, `face_census`), which are the same whichever
+thread builds them and are never mutated; wall circuits are recomputed on
+each call from four 3x3 determinants (`wall_circuit`).
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
@@ -60,10 +60,6 @@ class Fan:
     dim: int
     rays: tuple[IntVec, ...]
     max_cones: tuple[ConeTuple, ...]
-
-    @cached_property
-    def ray_index(self) -> dict[IntVec, int]:
-        return {v: i for i, v in enumerate(self.rays)}
 
     @cached_property
     def face_census(self) -> dict[ConeTuple, tuple[int, ...]]:
@@ -390,7 +386,7 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     v = tuple(new_ray)
     if not rational.is_primitive(v):
         raise NonPrimitiveRayError(f"subdivision ray {v} is zero or not primitive")
-    if v in fan.ray_index:
+    if v in fan.rays:
         raise RayExistsError(f"{v} is already a ray of the fan")
     new_index = len(fan.rays)
     touched = {cone: numerators for cone, _, numerators in _cones_containing(fan, v)}

@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .enumeration import EnumerationReport
-from .errors import FanValidationError
+from .errors import FanError, FanValidationError
 from .fan import Fan, Wall, canonical_key, validate_fan
 from .projectivity import ObstructionWitness, ProjectivityCertificate
 from .search import SearchResult, SurgeryGraph
@@ -102,7 +102,11 @@ def load_fan(path) -> Fan:
 
 
 def save_fan(fan: Fan, path) -> None:
-    Path(path).write_text(dumps(fan_to_doc(fan)), encoding="utf-8")
+    text = dumps(fan_to_doc(fan))
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FanError(f"cannot write fan file {path}: {exc}") from None
 
 
 def key_digest(key) -> str:

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -31,6 +33,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_rejection(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert "usage:" not in err and "Traceback" not in err
 
 
 def write_catalog_fan(tmp_path, fid, params=()):
@@ -242,11 +251,13 @@ class TestSurgeryCommands:
     )
     def test_rejected_argument_value_exits_two_with_one_line(self, tmp_path, capsys, argv):
         path = write_catalog_fan(tmp_path, "W7_5")
-        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.endswith("\n")
-        assert "usage:" not in err and "Traceback" not in err
+        assert_one_line_rejection(*run(capsys, argv[0], str(path), *argv[1:]))
+
+    def test_negative_vector_after_a_space_is_a_value(self, tmp_path, capsys):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        spaced = run(capsys, "subdivide", str(path), "--ray", "-1,-2,-2")
+        assert spaced[0] == 0
+        assert spaced == run(capsys, "subdivide", str(path), "--ray=-1,-2,-2")
 
     def test_subdivide_and_contract_are_inverse(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "W7_5")
@@ -261,6 +272,51 @@ class TestSurgeryCommands:
         )
         assert code == 0
         assert canonical_key(fanio.load_fan(back)) == canonical_key(fanio.load_fan(path))
+
+
+class TestRejectedInput:
+    """Every input argparse or a command rejects returns 2 from `main` with one
+    stderr line; `FanError` is the only path there."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["enumerate"],
+            ["search"],
+            ["frobnicate"],
+            ["check", "{fan}", "--bogus"],
+            ["enumerate", "--rays", "{fan}", "--catalog", "W7_5"],
+            ["enumerate", "--catalog", ""],
+            ["catalog", "Z2", "--params", "a=1", "--output", "{tmp}/missing/x.fan"],
+            ["subdivide", "{fan}", "--ray=1,1,1", "--output", "{tmp}"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        fan = write_catalog_fan(tmp_path, "W7_5")
+        argv = [a.format(fan=fan, tmp=tmp_path) for a in argv]
+        assert_one_line_rejection(*run(capsys, *argv))
+
+    def test_negative_wall_label_says_labels_are_one_based(self, tmp_path, capsys):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        code, out, err = run(capsys, "surgery", str(path), "--wall", "-1,7")
+        assert_one_line_rejection(code, out, err)
+        assert "1-based" in err
+
+    def test_help_still_prints_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: toricfans check")
+
+    def test_negative_number_pattern_is_the_one_argparse_reads(self):
+        # argparse has no public hook for values that start with "-"; if a
+        # Python release renames this attribute, the parser's override is dead
+        assert "_negative_number_matcher" in inspect.getsource(
+            argparse.ArgumentParser._parse_optional
+        )
+        assert cli.build_parser()._negative_number_matcher.match("-1,0,0;0,1,0")
 
 
 class TestReports:
@@ -323,6 +379,16 @@ class TestEnumerateAndCatalog:
         assert run(capsys, "catalog", "Z99")[0] == 2
         assert run(capsys, "catalog", "Z2", "--params", "b=1")[0] == 2
 
+    def test_params_for_a_family_without_parameters(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--catalog", "W7_5", "--params", "a=1")
+        assert_one_line_rejection(code, out, err)
+        assert err == "W7_5 takes no --params\n"
+
+    def test_repeated_param_is_rejected(self, capsys):
+        code, out, err = run(capsys, "catalog", "Z2", "--params", "a=1,a=2")
+        assert_one_line_rejection(code, out, err)
+        assert err == "Z2 takes --params a=<int>\n"
+
     def test_enumerate_expect_count(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--catalog", "Z13pp",
@@ -340,12 +406,9 @@ class TestEnumerateAndCatalog:
         assert "expected 1" in err
 
     def test_enumerate_rejects_non_integer_expect_count(self, capsys):
-        code, out, err = run(
+        assert_one_line_rejection(*run(
             capsys, "enumerate", "--catalog", "W7_5", "--expect-count", "one"
-        )
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and "usage:" not in err
+        ))
 
     def test_enumerate_inline_rays(self, capsys):
         code, out, _ = run(
@@ -386,27 +449,90 @@ def fuzz_fan_files(tmp_path_factory):
     return files
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _option(name, values):
+    """``name v`` or ``name=v``; the spaced form carries values that start with "-"."""
+    return st.tuples(st.booleans(), values).map(
+        lambda sv: [name, sv[1]] if sv[0] else [f"{name}={sv[1]}"]
+    )
+
+
+def _maybe(strategy):
+    return st.one_of(st.just([]), strategy)
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv_strategy(path, n):
+    """One argv per subcommand, with options in both forms and values that are
+    valid, out of range or not numbers at all."""
+    folder = Path(path).parent
+    labels = st.lists(st.integers(-2, n + 3), min_size=1, max_size=2).map(
+        lambda ks: ",".join(map(str, ks))
+    )
+    vector = st.lists(st.integers(-2, 2), min_size=2, max_size=4).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+    depth = st.one_of(st.integers(-1, 1).map(str), st.just("x"))
+    output = _maybe(_option("--output", st.sampled_from(
+        [str(folder / "out.fan"), str(folder / "missing" / "out.fan"), str(folder)]
+    )))
+    params = _maybe(_option("--params", st.sampled_from(["a=0", "a=1,a=2", "a=x", "b=1"])))
+
+    def command(name, *parts):
+        return st.tuples(*parts).map(lambda ps: [name, *sum(ps, [])])
+
+    fan = st.just([path])
+    return st.one_of(
+        command("check", fan, _flag("--certificate"), _flag("--nef"), _maybe(
+            _option("--expect-projective", st.sampled_from(["true", "false", "maybe"]))
+        )),
+        command("collections", fan),
+        command("relations", fan),
+        command("walls", fan),
+        command("surgery", fan, _option("--wall", labels), output),
+        command("subdivide", fan, _option("--ray", vector), output),
+        command("contract", fan, _option("--ray", labels), output),
+        command("search", fan, _maybe(_option("--max-depth", depth)), _flag("--flops-only")),
+        command("graph", fan, _maybe(_option("--max-depth", depth)), _flag("--dot")),
+        command(
+            "enumerate",
+            st.one_of(
+                _option("--rays", st.sampled_from([path, "-1,-1,-1;1,0,0;0,1,0;0,0,1"])),
+                _option("--catalog", st.sampled_from(["W7_5", "Z2", "Z99", ""])),
+            ),
+            params,
+            _maybe(_option("--expect-count", st.one_of(st.integers(-1, 2).map(str),
+                                                       st.just("one")))),
+        ),
+        command("catalog", st.sampled_from([["W7_5"], ["Z2"], ["Z99"], ["--list"]]),
+                params, output),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
     path, n = data.draw(st.sampled_from(fuzz_fan_files))
-    # labels from -2 (0 and below are refused) to past the last ray; the
-    # "--ray=" form keeps argparse from reading "-1,2" as an option
-    labels = st.lists(st.integers(-2, n + 3), min_size=1, max_size=2)
-    argv = data.draw(
-        st.one_of(
-            st.just(["collections", path]),
-            st.just(["relations", path]),
-            labels.map(lambda ks: ["contract", path, "--ray=" + ",".join(map(str, ks))]),
-        )
-    )
+    argv = data.draw(_argv_strategy(path, n))
+    mutation = data.draw(st.sampled_from(["none", "drop-positional", "unknown-option"]))
+    if mutation == "drop-positional":
+        argv = [argv[0], *argv[2:]]
+    elif mutation == "unknown-option":
+        argv = [*argv, data.draw(st.sampled_from(["--bogus", "--bogus=1", "-q"]))]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        json.loads(out.getvalue())
-        assert err.getvalue() == ""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 2:
+        assert_one_line_rejection(code, out, err)
+    elif "--dot" in argv:
+        assert out.startswith("digraph") and err == ""
     else:
-        assert code == 2
-        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+        json.loads(out)
+        assert code == 1 or err == ""
