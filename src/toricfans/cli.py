@@ -246,6 +246,8 @@ def _enumeration_rays(args):
     if args.catalog is not None:
         fam = catalog.family(args.catalog)
         return catalog.build(args.catalog, _parse_params(fam, args.params)).rays
+    if args.params is not None:
+        raise FanError("enumerate takes --params only with --catalog, not with --rays")
     source = args.rays
     if Path(source).exists():
         return fanio.load_fan(source).rays
@@ -269,6 +271,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.list:
+        if (args.id, args.params, args.output) != (None, None, None):
+            raise FanError("catalog --list takes no family id, --params or --output")
         _emit(
             {
                 "families": [

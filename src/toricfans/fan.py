@@ -5,8 +5,12 @@ maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
 Fans are immutable; every operation is a pure function returning new
 values, so fans are safe to share between threads. A `Fan` only adds lazily
 built lookup tables (`faces`, `face_census`), which are the same whichever
-thread builds them and are never mutated; wall circuits are recomputed on
-each call from four 3x3 determinants (`wall_circuit`).
+thread builds them and are never mutated. A wall circuit comes from four
+3x3 determinants (`wall_circuit`) and depends only on the wall's four ray
+indices and the ray list, so the fans of one surgery search, which share a
+ray list and never leave the search, share one `circuits` memo of them.
+Every other fan, including each one from `validate_fan`, carries none and
+recomputes its circuits on each call.
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported.
@@ -21,7 +25,7 @@ cone's dual normals (`_cones_containing`); `primitive_relation` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -55,11 +59,18 @@ class Fan:
     the candidates of `contract_ray` and `change_basis`. `star_subdivide`
     and the wall exchanges of `surgery` build their results directly from a
     local edit of a valid fan, which keeps it valid.
+
+    ``circuits``, when not None, memoizes `wall_circuit` by
+    ``wall.rays + wall.off_rays`` for every fan on this ray list that shares
+    the dict; it takes no part in equality, hashing or repr.
     """
 
     dim: int
     rays: tuple[IntVec, ...]
     max_cones: tuple[ConeTuple, ...]
+    circuits: dict[ConeTuple, tuple[int, ...]] | None = field(
+        default=None, compare=False, hash=False, repr=False
+    )
 
     @cached_property
     def face_census(self) -> dict[ConeTuple, tuple[int, ...]]:
@@ -287,8 +298,14 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     positive entries on both off-wall rays. For smooth fans both off entries
     are 1. For wall rays a, b and off rays c, d, det(b,c,d) a - det(a,c,d) b
     + det(a,b,d) c - det(a,b,c) d = 0, which fixes it up to sign and gcd.
+    A fan with a `circuits` memo reads each circuit from it, or computes,
+    checks and stores it there.
     """
-    a, b, c, d = (fan.rays[i] for i in wall.rays + wall.off_rays)
+    key = wall.rays + wall.off_rays
+    memo = fan.circuits
+    if memo is not None and key in memo:
+        return memo[key]
+    a, b, c, d = (fan.rays[i] for i in key)
     det = rational.determinant
     lam = [det((b, c, d)), -det((a, c, d)), det((a, b, d)), -det((a, b, c))]
     if lam[2] < 0:
@@ -297,9 +314,12 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
         raise AssertionError(f"circuit of wall {wall.rays} is not positive on its off rays")
     g = rational.vec_gcd(lam)
     dense = [0] * len(fan.rays)
-    for i, x in zip(wall.rays + wall.off_rays, lam):
+    for i, x in zip(key, lam):
         dense[i] = x // g
-    return tuple(dense)
+    circuit = tuple(dense)
+    if memo is not None:
+        memo[key] = circuit
+    return circuit
 
 
 def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:

@@ -13,9 +13,12 @@ multipliers of the positive Phase I optimum. `verify_feasible` and
 `verify_farkas`, the package's only certificate checks, re-verify both by
 direct evaluation, independently of the solver; a witness entry that is
 not an ``int`` or a ``Fraction`` fails the check, and a witness of the
-wrong length raises ValueError. `fm_feasible` is the same decision without
-the witness. Cone gluing and overlap in `fan` are decided by an exact 3-D
-separation test.
+wrong length raises ValueError. `verify_feasible` puts the point over one
+common denominator and compares integer row sums; `verify_farkas` still
+sums `Fraction` products directly, until the benchmark revision (ROADMAP
+item 1) lets its integer form land. `fm_feasible` is the same decision
+without the witness. Cone gluing and overlap in `fan` are decided by an
+exact 3-D separation test.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 
@@ -127,10 +131,19 @@ def _exact(values) -> bool:
 
 
 def verify_feasible(rows, rhs, x) -> bool:
-    return _exact(x) and all(
-        sum(c * v for c, v in zip(row, x, strict=True)) >= r
-        for row, r in zip(rows, rhs, strict=True)
-    )
+    """Whether ``row @ x >= r`` for every row, evaluated in integers: x is
+    put over one common denominator ``den``, so each row compares
+    ``row @ nums`` with ``r * den``."""
+    if not _exact(x):
+        return False
+    den = lcm(*(v.denominator for v in x))
+    nums = [v.numerator * (den // v.denominator) for v in x]
+    for row, r in zip(rows, rhs, strict=True):
+        if len(row) != len(nums):
+            raise ValueError("verify_feasible needs one witness entry per column")
+        if sum(map(mul, row, nums)) < r * den:
+            return False
+    return True
 
 
 def verify_farkas(rows, rhs, multipliers) -> bool:

@@ -8,11 +8,17 @@ from its two-cone edit (`surgery._exchange`). Edges are `SurgeryStep`s.
 has minimum length over the explored edge relation, with ties broken by
 wall order and then discovery order. Failure at the depth bound proves
 nothing: the search is a semi-decision procedure.
+
+A wall's circuit depends only on its four ray indices and the ray list, so
+each search starts from a copy of its input fan that carries an empty
+`Fan.circuits` memo, and every fan `_exchange` builds from it shares that
+memo: each circuit is computed and checked once per search, and the memo
+goes when the search returns. Fans handed back to the caller carry none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import NotCompleteError
 from .fan import Fan, canonical_key, is_complete, is_smooth, walls
@@ -80,30 +86,37 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
         level = next_level
 
 
+def _memo_copy(fan: Fan, query: str) -> Fan:
+    """A complete `fan`'s copy with a fresh circuit memo for one search."""
+    start = replace(fan, circuits={})
+    if not is_complete(start):
+        raise NotCompleteError(f"{query} needs a complete fan")
+    return start
+
+
 def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> SearchResult:
     """Search for a projective fan within `max_depth` wall exchanges."""
-    if not is_complete(fan):
-        raise NotCompleteError("projectivize needs a complete fan")
-    if is_projective(fan)[0]:
+    start = _memo_copy(fan, "projectivize")
+    if is_projective(start)[0]:
         return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
     visited, depth_reached = 1, 0
-    for route, child in _explore(fan, max_depth, flops_only):
+    for route, child in _explore(start, max_depth, flops_only):
         if child is None:
             continue
         visited += 1
         depth_reached = len(route)
         if is_projective(child)[0]:
-            return SearchResult(True, route, child, is_smooth(child), visited, depth_reached)
+            final = replace(child, circuits=None)
+            return SearchResult(True, route, final, is_smooth(child), visited, depth_reached)
     return SearchResult(False, (), fan, is_smooth(fan), visited, depth_reached)
 
 
 def surgery_graph(fan: Fan, max_depth: int, flops_only: bool = False) -> SurgeryGraph:
     """The surgery graph out to a fixed depth, in deterministic BFS order."""
-    if not is_complete(fan):
-        raise NotCompleteError("surgery_graph needs a complete fan")
-    nodes = [GraphNode(canonical_key(fan), is_smooth(fan), is_projective(fan)[0])]
+    start = _memo_copy(fan, "surgery_graph")
+    nodes = [GraphNode(canonical_key(start), is_smooth(start), is_projective(start)[0])]
     edges: list[SurgeryStep] = []
-    for route, child in _explore(fan, max_depth, flops_only):
+    for route, child in _explore(start, max_depth, flops_only):
         step = route[-1]
         edges.append(step)
         if child is not None:

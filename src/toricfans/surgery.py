@@ -106,11 +106,12 @@ def _exchange(
 
     Only the two new cones are checked: a zero determinant is a bug here,
     not malformed input, so it raises `AssertionError` (exit 3 in the CLI).
+    The ray list is unchanged, so the result shares `fan`'s circuit memo.
     """
     c, d = wall.off_rays
     if any(determinant([fan.rays[i] for i in (c, d, k)]) == 0 for k in wall.rays):
         raise AssertionError(f"wall exchange at {wall.rays} made a degenerate cone")
-    result = Fan(fan.dim, fan.rays, cones)
+    result = Fan(fan.dim, fan.rays, cones, fan.circuits)
     step = SurgeryStep(
         wall_rays=wall.rays,
         kind=classification.kind,

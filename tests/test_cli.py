@@ -290,6 +290,12 @@ class TestRejectedInput:
             ["enumerate", "--catalog", ""],
             ["catalog", "Z2", "--params", "a=1", "--output", "{tmp}/missing/x.fan"],
             ["subdivide", "{fan}", "--ray=1,1,1", "--output", "{tmp}"],
+            ["enumerate", "--rays", "{fan}", "--params", "a=1"],
+            ["enumerate", "--rays=1,0,0;0,1,0;0,0,1;-1,-1,-1", "--params="],
+            ["catalog", "--list", "--params", "a=1"],
+            ["catalog", "--list", "--output", "{tmp}/x.fan"],
+            ["catalog", "--list", "Z2"],
+            ["catalog", "Z2", "--list", "--params", "a=0"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
@@ -383,6 +389,17 @@ class TestEnumerateAndCatalog:
         code, out, err = run(capsys, "enumerate", "--catalog", "W7_5", "--params", "a=1")
         assert_one_line_rejection(code, out, err)
         assert err == "W7_5 takes no --params\n"
+
+    def test_options_a_command_would_ignore_are_rejected(self, tmp_path, capsys):
+        path = write_catalog_fan(tmp_path, "W7_5")
+        code, out, err = run(capsys, "enumerate", "--rays", str(path), "--params", "a=9")
+        assert_one_line_rejection(code, out, err)
+        assert err == "enumerate takes --params only with --catalog, not with --rays\n"
+        output = tmp_path / "x.fan"
+        code, out, err = run(capsys, "catalog", "--list", "--output", str(output))
+        assert_one_line_rejection(code, out, err)
+        assert err == "catalog --list takes no family id, --params or --output\n"
+        assert not output.exists()
 
     def test_repeated_param_is_rejected(self, capsys):
         code, out, err = run(capsys, "catalog", "Z2", "--params", "a=1,a=2")
@@ -506,8 +523,21 @@ def _argv_strategy(path, n):
             _maybe(_option("--expect-count", st.one_of(st.integers(-1, 2).map(str),
                                                        st.just("one")))),
         ),
-        command("catalog", st.sampled_from([["W7_5"], ["Z2"], ["Z99"], ["--list"]]),
+        command("catalog",
+                st.sampled_from([["W7_5"], ["Z2"], ["Z99"], ["--list"], ["--list", "Z2"]]),
                 params, output),
+    )
+
+
+def _ignores_an_option(argv):
+    """Whether `argv` gives an option its command would ignore: ``--params``
+    with ``enumerate --rays``, or an id, ``--params`` or ``--output`` with
+    ``catalog --list``."""
+    names = {a.partition("=")[0] for a in argv if a.startswith("--")}
+    if argv[0] == "enumerate":
+        return {"--rays", "--params"} <= names
+    return argv[0] == "catalog" and "--list" in names and (
+        bool(names & {"--params", "--output"}) or any(a in ("W7_5", "Z2", "Z99") for a in argv)
     )
 
 
@@ -529,6 +559,8 @@ def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
             pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
+    if _ignores_an_option(argv):
+        assert code == 2, argv
     if code == 2:
         assert_one_line_rejection(code, out, err)
     elif "--dot" in argv:

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -265,3 +266,72 @@ def test_verifiers_reject_entries_that_are_not_int_or_fraction(x, y):
     assert verify_feasible([(1,)], [1], [x]) is False
     assert verify_farkas([(1,), (-1,)], [1, 0], [1, 1])
     assert verify_farkas([(1,), (-1,)], [1, 0], [1, y]) is False
+
+
+# A Mersenne prime above every witness denominator drawn below (at most
+# 10**12), so a shift by 1/_P is a gap that no rounding of the row sums keeps.
+_P = 2**61 - 1
+_ENTRIES = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def _tight_witnesses(draw):
+    """A witness, rows, and right-hand sides that are each row's exact value
+    at the witness, moved by 0, +1/_P or -1/_P, or rounded to an int; then
+    the witness itself is moved by 0 or +-1/_P in one entry."""
+    n = draw(st.integers(1, 4))
+    rows = [
+        tuple(draw(st.integers(-5, 5)) for _ in range(n)) for _ in range(draw(st.integers(1, 6)))
+    ]
+    x = [draw(_ENTRIES) for _ in range(n)]
+    rhs, shifts = [], []
+    for row in rows:
+        value = sum(Fraction(c) * v for c, v in zip(row, x))
+        kind = draw(st.sampled_from(["tight", "above", "below", "floor", "ceil"]))
+        rhs.append({
+            "tight": value,
+            "above": value + Fraction(1, _P),
+            "below": value - Fraction(1, _P),
+            "floor": math.floor(value),
+            "ceil": math.ceil(value),
+        }[kind])
+        shifts.append(kind)
+    k = draw(st.integers(0, n - 1))
+    move = draw(st.sampled_from([0, Fraction(1, _P), Fraction(-1, _P)]))
+    moved = x[:k] + [x[k] + move] + x[k + 1 :]
+    return rows, rhs, x, moved, shifts
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tight_witnesses())
+def test_integer_verify_feasible_matches_fraction_reference_at_the_boundary(case):
+    rows, rhs, x, moved, shifts = case
+    for witness in (x, moved):
+        assert verify_feasible(rows, rhs, witness) == _reference_verify(rows, rhs, witness, False)
+    # at the unmoved witness each row's value is exactly its tight value
+    if "above" in shifts:
+        assert verify_feasible(rows, rhs, x) is False
+    elif "ceil" not in shifts:
+        assert verify_feasible(rows, rhs, x) is True
+
+
+@pytest.mark.parametrize(
+    "x, outcome",
+    [
+        ([1], ValueError),
+        ([1, 2, 3], ValueError),
+        ([Fraction(1, 2), 1.0], False),
+        ([True, 1], False),
+        ([1, "1"], False),
+        ([Fraction(1, 10**12), 1], True),
+        ([2, -1], False),
+    ],
+    ids=["short", "long", "float", "bool", "str", "large-denominator", "infeasible"],
+)
+def test_verify_feasible_explicit_cases(x, outcome):
+    rows, rhs = [(1, 2), (0, 1)], [Fraction(2, 3), 1]
+    assert _outcome(verify_feasible, rows, rhs, x) is outcome
+    assert _outcome(_reference_verify, rows, rhs, x, False) is outcome
