@@ -249,15 +249,20 @@ def _enumeration_rays(args):
     if args.params is not None:
         raise FanError("enumerate takes --params only with --catalog, not with --rays")
     source = args.rays
-    if Path(source).exists():
+    if Path(source).is_file():
         return fanio.load_fan(source).rays
     try:
-        return tuple(_parse_vector(part) for part in source.split(";") if part)
+        rays = tuple(_parse_vector(part) for part in source.split(";") if part)
     except FanError as exc:
         raise FanError(f"--rays is neither a file nor an inline ray list: {exc}") from None
+    if not rays:
+        raise FanError(f"--rays names no file and lists no rays: {source!r}")
+    return rays
 
 
 def cmd_enumerate(args) -> int:
+    if args.expect_count is not None and args.expect_count < 0:
+        raise FanError(f"--expect-count cannot be negative, got {args.expect_count}")
     report = enumerate_smooth_complete_fans(_enumeration_rays(args))
     _emit(fanio.enumeration_report_to_doc(report))
     if args.expect_count is not None and len(report.fans) != args.expect_count:

@@ -3,11 +3,14 @@
 Nodes are fans on the start fan's ray list, which wall exchanges never
 change, so a sorted cone tuple identifies a fan as its canonical key does.
 It is looked up before a fan is built, so each distinct fan is built once,
-from its two-cone edit (`surgery._exchange`). Edges are `SurgeryStep`s.
+from its two-cone edit by `surgery._exchange`, which builds only the fan.
+Edges are `SurgeryStep`s, each made once, after that lookup.
 `projectivize` stops at the first projective fan, so the returned sequence
 has minimum length over the explored edge relation, with ties broken by
 wall order and then discovery order. Failure at the depth bound proves
-nothing: the search is a semi-decision procedure.
+nothing: the search is a semi-decision procedure. The ray list is fixed, so
+a component is finite, and the search ends with its frontier: a level that
+adds no new fan ends it before `max_depth`, a non-negative int.
 
 A wall's circuit depends only on its four ray indices and the ray list, so
 each search starts from a copy of its input fan that carries an empty
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import NotCompleteError
+from .errors import FanError, NotCompleteError
 from .fan import Fan, canonical_key, is_complete, is_smooth, walls
 from .projectivity import is_projective
 from .surgery import (
@@ -61,12 +64,13 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
 
     Yields ``(route, child)`` for every edge in deterministic order: `route`
     is the steps from `fan` ending with this edge, `child` the fan it reaches,
-    or None when that fan was reached before.
+    or None when that fan was reached before. Every route in a level has the
+    same length, and the search ends with the first level that adds no fan.
     """
     kinds = (WallKind.FLOP,) if flops_only else MODIFIABLE
     seen = {fan.max_cones: canonical_key(fan)}
     level: list[tuple[Fan, tuple[SurgeryStep, ...]]] = [(fan, ())]
-    for _ in range(max_depth):
+    while level and len(level[0][1]) < max_depth:
         next_level = []
         for node, route in level:
             node_key = seen[node.max_cones]
@@ -75,19 +79,22 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
                 if cls.kind not in kinds:
                     continue
                 cones = exchanged_cones(node, wall)
-                if cones in seen:
-                    child = None
-                    step = SurgeryStep(wall.rays, cls.kind, cls.degree, node_key, seen[cones])
-                else:
-                    child, step = _exchange(node, wall, cls, cones, node_key)
-                    seen[cones] = step.after_key
+                child = None
+                if cones not in seen:
+                    child = _exchange(node, wall, cones)
+                    seen[cones] = canonical_key(child)
+                step = SurgeryStep(wall.rays, cls.kind, cls.degree, node_key, seen[cones])
+                if child is not None:
                     next_level.append((child, route + (step,)))
                 yield route + (step,), child
         level = next_level
 
 
-def _memo_copy(fan: Fan, query: str) -> Fan:
-    """A complete `fan`'s copy with a fresh circuit memo for one search."""
+def _memo_copy(fan: Fan, max_depth: int, query: str) -> Fan:
+    """A complete `fan`'s copy with a fresh circuit memo for one search to an
+    int `max_depth` >= 0; bools are rejected."""
+    if type(max_depth) is not int or max_depth < 0:
+        raise FanError(f"{query} needs max_depth to be an int >= 0, got {max_depth!r}")
     start = replace(fan, circuits={})
     if not is_complete(start):
         raise NotCompleteError(f"{query} needs a complete fan")
@@ -96,7 +103,7 @@ def _memo_copy(fan: Fan, query: str) -> Fan:
 
 def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> SearchResult:
     """Search for a projective fan within `max_depth` wall exchanges."""
-    start = _memo_copy(fan, "projectivize")
+    start = _memo_copy(fan, max_depth, "projectivize")
     if is_projective(start)[0]:
         return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
     visited, depth_reached = 1, 0
@@ -113,7 +120,7 @@ def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> Sear
 
 def surgery_graph(fan: Fan, max_depth: int, flops_only: bool = False) -> SurgeryGraph:
     """The surgery graph out to a fixed depth, in deterministic BFS order."""
-    start = _memo_copy(fan, "surgery_graph")
+    start = _memo_copy(fan, max_depth, "surgery_graph")
     nodes = [GraphNode(canonical_key(start), is_smooth(start), is_projective(start)[0])]
     edges: list[SurgeryStep] = []
     for route, child in _explore(start, max_depth, flops_only):

@@ -11,7 +11,9 @@ and admit no such exchange.
 
 An exchange is a bistellar flip: the circuit's sign pattern (-,-,+,+) makes
 the two new cones cover exactly the two old ones, so `_exchange` builds the
-result from that local edit instead of revalidating the whole fan.
+result from that local edit instead of revalidating the whole fan. It builds
+only the fan: `perform_surgery` and the search each make the `SurgeryStep`
+from the classification and keys they already hold.
 """
 
 from __future__ import annotations
@@ -91,18 +93,14 @@ def perform_surgery(fan: Fan, wall: Wall) -> tuple[Fan, SurgeryStep]:
         raise NotModifiableWallError(
             f"wall {wall.rays} has a divisorial or fiber-type circuit"
         )
-    return _exchange(fan, wall, classification, exchanged_cones(fan, wall), canonical_key(fan))
+    result = _exchange(fan, wall, exchanged_cones(fan, wall))
+    step = SurgeryStep(wall.rays, classification.kind, classification.degree,
+                       canonical_key(fan), canonical_key(result))
+    return result, step
 
 
-def _exchange(
-    fan: Fan,
-    wall: Wall,
-    classification: WallClassification,
-    cones: tuple[tuple[int, ...], ...],
-    before_key: tuple,
-) -> tuple[Fan, SurgeryStep]:
-    """Build the fan on `cones` (the `exchanged_cones` of a modifiable wall
-    of `fan`) and the step to it from `fan`, keyed `before_key`.
+def _exchange(fan: Fan, wall: Wall, cones: tuple[tuple[int, ...], ...]) -> Fan:
+    """The fan on `cones`, the `exchanged_cones` of a modifiable wall of `fan`.
 
     Only the two new cones are checked: a zero determinant is a bug here,
     not malformed input, so it raises `AssertionError` (exit 3 in the CLI).
@@ -111,15 +109,7 @@ def _exchange(
     c, d = wall.off_rays
     if any(determinant([fan.rays[i] for i in (c, d, k)]) == 0 for k in wall.rays):
         raise AssertionError(f"wall exchange at {wall.rays} made a degenerate cone")
-    result = Fan(fan.dim, fan.rays, cones, fan.circuits)
-    step = SurgeryStep(
-        wall_rays=wall.rays,
-        kind=classification.kind,
-        degree=classification.degree,
-        before_key=before_key,
-        after_key=canonical_key(result),
-    )
-    return result, step
+    return Fan(fan.dim, fan.rays, cones, fan.circuits)
 
 
 def find_wall(fan: Fan, ray_pair) -> Wall:

@@ -296,6 +296,9 @@ class TestRejectedInput:
             ["catalog", "--list", "--output", "{tmp}/x.fan"],
             ["catalog", "--list", "Z2"],
             ["catalog", "Z2", "--list", "--params", "a=0"],
+            ["search", "{fan}", "--max-depth", "-1"],
+            ["graph", "{fan}", "--max-depth=-1"],
+            ["enumerate", "--catalog", "W7_5", "--expect-count", "-1"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
@@ -434,6 +437,13 @@ class TestEnumerateAndCatalog:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("rays", ["", ";", "{tmp}", "{tmp}/absent.fan"])
+    def test_enumerate_rays_that_are_no_file_parse_inline(self, tmp_path, capsys, rays):
+        # only a file is read as a fan file: "" used to read "." as one
+        code, out, err = run(capsys, "enumerate", "--rays", rays.format(tmp=tmp_path))
+        assert_one_line_rejection(code, out, err)
+        assert err.startswith("--rays ")
+
     def test_enumerate_from_fan_file(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "Z13pp", (2, 3, 5, 7))
         code, out, _ = run(
@@ -529,6 +539,15 @@ def _argv_strategy(path, n):
     )
 
 
+def _gives_minus_one(argv):
+    """Whether `argv` gives -1 for ``--max-depth`` or ``--expect-count``."""
+    tokens = [part for a in argv for part in a.split("=", 1)]
+    return any(
+        name in ("--max-depth", "--expect-count") and value == "-1"
+        for name, value in zip(tokens, tokens[1:])
+    )
+
+
 def _ignores_an_option(argv):
     """Whether `argv` gives an option its command would ignore: ``--params``
     with ``enumerate --rays``, or an id, ``--params`` or ``--output`` with
@@ -559,7 +578,7 @@ def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
             pytest.fail(f"main({argv}) raised SystemExit({exc.code})")
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, code, err)
-    if _ignores_an_option(argv):
+    if _ignores_an_option(argv) or _gives_minus_one(argv):
         assert code == 2, argv
     if code == 2:
         assert_one_line_rejection(code, out, err)

@@ -14,6 +14,7 @@ from toricfans import (
     canonical_key,
     classify_wall,
     is_projective,
+    perform_surgery,
     star_subdivide,
     surgery_graph,
     validate_fan,
@@ -45,9 +46,11 @@ def _check_exchanges(fan):
         c, d = wall.off_rays
         cones = set(fan.max_cones) - set(wall.side_cones)
         cones |= {tuple(sorted((c, d, keep))) for keep in wall.rays}
-        out, step = _exchange(fan, wall, cls, exchanged_cones(fan, wall), key)
+        out = _exchange(fan, wall, exchanged_cones(fan, wall))
         assert out == validate_fan(3, fan.rays, sorted(cones))
-        assert step.after_key == canonical_key(out)
+        result, step = perform_surgery(fan, wall)
+        assert result == out
+        assert (step.before_key, step.after_key) == (key, canonical_key(out))
 
 
 def _check_subdivision(fan, v):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import CATALOG_GRID
@@ -17,7 +19,7 @@ from toricfans import (
 )
 from toricfans import fan as fan_module
 from toricfans import search, surgery
-from toricfans.errors import NotCompleteError
+from toricfans.errors import FanError, NotCompleteError
 from toricfans.fan import Fan
 from toricfans.search import GraphNode, SearchResult, SurgeryGraph
 from toricfans.surgery import MODIFIABLE, WallKind
@@ -95,6 +97,27 @@ class TestProjectivize:
         fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 2)])
         with pytest.raises(NotCompleteError):
             projectivize(fan, 1)
+
+
+@pytest.mark.parametrize("max_depth", [-1, True, 2.5, "1"])
+@pytest.mark.parametrize("query", [projectivize, surgery_graph])
+def test_max_depth_must_be_a_non_negative_int(p3, query, max_depth):
+    # checked before `projectivize` returns early on a projective start
+    with pytest.raises(FanError, match="max_depth"):
+        query(p3, max_depth)
+
+
+def test_search_ends_when_its_component_is_exhausted():
+    # the component's 56 fans lie within 8 exchanges of the start, and the
+    # ninth level adds only edges back to them; there is no flop wall at all
+    z = build("Z13pp", (2, 7, 4, 2))
+    began = time.perf_counter()
+    graph = surgery_graph(z, 10**8)
+    result = projectivize(z, 10**8, flops_only=True)
+    assert time.perf_counter() - began < 2
+    assert graph == surgery_graph(z, 9) != surgery_graph(z, 8)
+    assert len(graph.nodes) == 56
+    assert result == projectivize(z, 0, flops_only=True)
 
 
 class TestSurgeryGraph:
