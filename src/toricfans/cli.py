@@ -19,6 +19,7 @@ import argparse
 import functools
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import catalog, fanio
@@ -113,6 +114,8 @@ def cmd_check(args) -> int:
         _emit({"valid": False, "error": str(exc)})
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
+    # is_projective and nontrivial_nef_exists share each wall circuit
+    fan = replace(fan, circuits={})
     doc = {
         "indexing": fanio.INDEXING_NOTE,
         "valid": True,
@@ -130,8 +133,9 @@ def cmd_check(args) -> int:
         doc["wall_count"] = len(walls(fan))
         if args.certificate:
             doc["certificate"] = fanio.certificate_to_doc(certificate)
-            if is_smooth(fan):
-                witness = effective_ample_obstruction(fan)
+            if doc["smooth"]:
+                # an ample class made strictly effective by a linear shift solves the LP
+                witness = None if projective else effective_ample_obstruction(fan)
                 doc["effective_ample_obstruction"] = (
                     fanio.obstruction_to_doc(witness) if witness else None
                 )

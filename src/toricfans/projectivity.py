@@ -197,6 +197,9 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
     Builds {d_i >= 0 for all rays; degree >= 1 on every primitive relation}
     and returns a Farkas witness when that system is infeasible, which proves
     the fan non-projective. Feasibility proves nothing (the test is one-way).
+    On a projective fan the answer is always None: an ample class is linearly
+    equivalent to a strictly effective one, and it is positive on every
+    primitive relation, so `check --certificate` prints null there unsolved.
     """
     rows, rhs = _effective_system(fan)
     outcome = solve_system(rows, rhs)

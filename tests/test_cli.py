@@ -13,14 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toricfans
-from conftest import CATALOG_INSTANCES, P3_RAYS
+from conftest import CATALOG_INSTANCES, P3_RAYS, blowup_chain
 from toricfans import (
     build,
     canonical_key,
     cli,
     contract_ray,
+    effective_ample_obstruction,
     fanio,
+    is_complete,
+    is_projective,
+    is_smooth,
+    nontrivial_nef_exists,
+    picard_number,
     projectivity,
+    rational,
     star_subdivide,
     surgery,
     validate_fan,
@@ -89,6 +96,71 @@ class TestCheck:
         _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "Z10")), "--nef")
         assert json.loads(out)["nontrivial_nef_exists"] is True
         assert calls == []
+
+    def test_certificate_skips_the_obstruction_lp_on_projective_fans(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real = cli.effective_ample_obstruction
+        monkeypatch.setattr(
+            cli, "effective_ample_obstruction", lambda fan: calls.append(fan) or real(fan)
+        )
+        _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "Z10")), "--certificate")
+        assert json.loads(out)["effective_ample_obstruction"] is None
+        assert calls == []
+        _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "W7_5")), "--certificate")
+        assert json.loads(out)["effective_ample_obstruction"] is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build("Z10"), lambda: blowup_chain("Z2", (1,), 12), lambda: build("W7_5")],
+        ids=["Z10", "Z2(1) rung 12", "W7_5"],
+    )
+    def test_certificate_nef_output_matches_library_calls(self, tmp_path, capsys, make):
+        # the reference solves every LP, the effective-ample one included
+        path = tmp_path / "fan.fan"
+        fanio.save_fan(make(), path)
+        fan = fanio.load_fan(path)
+        projective, cert = is_projective(fan)
+        witness = effective_ample_obstruction(fan)
+        expected = {
+            "indexing": fanio.INDEXING_NOTE,
+            "valid": True,
+            "simplicial": True,
+            "smooth": is_smooth(fan),
+            "complete": is_complete(fan),
+            "projective": projective,
+            "picard_number": picard_number(fan),
+            "wall_count": len(walls(fan)),
+            "certificate": fanio.certificate_to_doc(cert),
+            "effective_ample_obstruction": (
+                fanio.obstruction_to_doc(witness) if witness else None
+            ),
+            "nontrivial_nef_exists": nontrivial_nef_exists(fan),
+        }
+        code, out, _ = run(capsys, "check", str(path), "--certificate", "--nef")
+        assert code == 0
+        assert out == fanio.dumps(expected)
+
+    def test_nef_check_computes_each_wall_circuit_once(self, tmp_path, capsys, monkeypatch):
+        # `wall_circuit` is the only caller of `vec_gcd` once the fan is
+        # loaded; loading calls it through `rational.is_primitive`
+        gcds = []
+        real_gcd = rational.vec_gcd
+        monkeypatch.setattr(rational, "vec_gcd", lambda v: gcds.append(v) or real_gcd(v))
+        real_load = fanio.load_fan
+
+        def load_then_reset(path):
+            fan = real_load(path)
+            gcds.clear()
+            return fan
+
+        monkeypatch.setattr(fanio, "load_fan", load_then_reset)
+        _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "W7_5")), "--nef")
+        doc = json.loads(out)
+        assert doc["projective"] is False and doc["nontrivial_nef_exists"] is True
+        assert len(gcds) == doc["wall_count"] == 15
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"

@@ -372,6 +372,19 @@ def test_effective_obstruction_scans_primitive_collections_once(monkeypatch):
     assert len(scans) == len(CATALOG_GRID) == 355
 
 
+def test_effective_ample_system_is_feasible_on_projective_fans():
+    # `check --certificate` prints null unsolved on a fan with an ample
+    # certificate; here the LP really runs on each such fan and agrees
+    fans = [build(fid, params) for fid, params in CATALOG_INSTANCES]
+    fans += [blowup_chain("Z2", (1,), top) for top in range(9, 16)]
+    checked = 0
+    for fan in fans:
+        if is_smooth(fan) and is_projective(fan)[0]:
+            assert effective_ample_obstruction(fan) is None, fan
+            checked += 1
+    assert checked == 16  # 9 catalog instances and 7 rungs
+
+
 @pytest.mark.parametrize("fid, params", [("W7_5", ()), ("Z2", (1,))])
 def test_every_ladder_rung_is_decided_with_certificates(fid, params):
     # Rungs of 9 to 21 rays of the seeded blow-up chain; Z2(1) stays projective.
