@@ -1,12 +1,25 @@
 """Exhaustive enumeration of smooth complete fans on a fixed ray set.
 
-Candidate cones are the unimodular triples of the given rays. Backtracking
-extends a partial fan at its lexicographically smallest unmatched wall,
-trying every candidate on the opposite side whose interior avoids all chosen
-cones; a partial fan with no unmatched wall is a closed surface and is kept
-when it uses every ray and validates. Every complete smooth fan on the rays
-is reached exactly once: it contains a unique cone holding the (generic)
-seed point, and each wall-matching step is forced.
+Candidate cones are the unimodular triples of the given rays, numbered in
+lexicographic order. Backtracking extends a partial fan at its
+lexicographically smallest unmatched wall, trying every candidate on the
+opposite side whose interior avoids all chosen cones; a partial fan with no
+unmatched wall is a closed surface and is kept when it uses every ray and
+its cones glue properly. Every complete smooth fan on the rays is reached
+exactly once: it contains a unique cone holding the (generic) seed point,
+and each wall-matching step is forced.
+
+The search runs on bitsets (Python ints). A candidate's row of the
+compatibility matrix is the mask of the candidates whose interiors avoid
+its own, so the candidates still allowed are the AND of the chosen rows.
+The unmatched walls are the XOR of the chosen cones' face masks: two
+compatible cones never lie on the same side of a shared face, so no face is
+in three chosen cones and odd parity means exactly one. Sign masks of the
+rays against each plane through two rays settle most pairs of the matrix,
+and `interiors_overlap` decides the rest. A closed surface gets
+`validate_fan`'s pairwise gluing test, `_properly_glued`, with each
+distinct cone pair tested once per call (a memo by pair); the other checks
+of `validate_fan` hold for every candidate by construction.
 """
 
 from __future__ import annotations
@@ -15,16 +28,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import rational
-from .errors import DegenerateRaysError, FanValidationError
-from .fan import (
-    Fan,
-    _is_int_list,
-    canonical_key,
-    interiors_overlap,
-    is_complete,
-    is_smooth,
-    validate_fan,
-)
+from .errors import DegenerateRaysError
+from .fan import Fan, _is_int_list, _properly_glued, canonical_key, interiors_overlap
 
 
 @dataclass(frozen=True)
@@ -94,10 +99,7 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         if abs(rational.determinant([rays[i] for i in t])) == 1
     ]
     k = len(candidates)
-    compatible = [[True] * k for _ in range(k)]
-    for x, y in itertools.combinations(range(k), 2):
-        ok = not interiors_overlap(rays, candidates[x], candidates[y])
-        compatible[x][y] = compatible[y][x] = ok
+    compatible = _compatibility(rays, candidates)
 
     seed = _seed_point(rays)
     containing_seed = []
@@ -106,52 +108,58 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         if all(n * d > 0 for n in numerators):
             containing_seed.append(idx)
 
-    by_face: dict[tuple[int, int], list[int]] = {}
+    # Faces are numbered in lexicographic order, so the lowest set bit of a
+    # face mask is its smallest face.
+    faces = sorted({f for cand in candidates for f in itertools.combinations(cand, 2)})
+    face_index = {f: i for i, f in enumerate(faces)}
+    cone_faces = [0] * k
+    by_face = [0] * len(faces)
     for idx, cand in enumerate(candidates):
-        for face in itertools.combinations(cand, 2):
-            by_face.setdefault(face, []).append(idx)
+        for f in itertools.combinations(cand, 2):
+            cone_faces[idx] |= 1 << face_index[f]
+            by_face[face_index[f]] |= 1 << idx
+    cone_rays = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
 
     found: dict[tuple, Fan] = {}
+    glued: dict[tuple[int, int], bool] = {}
     nodes = 0
 
     def record(chosen: list[int]) -> None:
-        if {i for c in chosen for i in candidates[c]} != set(range(n)):
+        # Candidates are distinct unimodular triples and every face lies in
+        # two chosen cones, so only ray coverage and gluing are left to test.
+        covered = 0
+        for c in chosen:
+            covered |= cone_rays[c]
+        if covered != (1 << n) - 1:
             return
-        try:
-            fan = validate_fan(3, rays, [candidates[c] for c in chosen])
-        except FanValidationError:
-            return
-        if is_complete(fan):
-            if not is_smooth(fan):
-                raise AssertionError("a fan of unimodular cones is not smooth")
-            found.setdefault(canonical_key(fan), fan)
+        cones = sorted(chosen)
+        for x, y in itertools.combinations(cones, 2):
+            ok = glued.get((x, y))
+            if ok is None:
+                ok = glued[x, y] = _properly_glued(rays, candidates[x], candidates[y])
+            if not ok:
+                return
+        fan = Fan(3, rays, tuple(candidates[c] for c in cones))
+        found.setdefault(canonical_key(fan), fan)
 
-    def extend(chosen: list[int], face_count: dict[tuple[int, int], int]) -> None:
+    def extend(chosen: list[int], allowed: int, open_faces: int) -> None:
         nonlocal nodes
         nodes += 1
-        open_faces = sorted(f for f, c in face_count.items() if c == 1)
         if not open_faces:
             record(chosen)
             return
-        face = open_faces[0]
-        for cand in by_face.get(face, ()):
-            if cand in chosen:
-                continue
-            if not all(compatible[cand][c] for c in chosen):
-                continue
-            for f in itertools.combinations(candidates[cand], 2):
-                face_count[f] = face_count.get(f, 0) + 1
+        face = (open_faces & -open_faces).bit_length() - 1
+        options = by_face[face] & allowed
+        while options:
+            low = options & -options
+            options ^= low
+            cand = low.bit_length() - 1
             chosen.append(cand)
-            extend(chosen, face_count)
+            extend(chosen, allowed & compatible[cand], open_faces ^ cone_faces[cand])
             chosen.pop()
-            for f in itertools.combinations(candidates[cand], 2):
-                face_count[f] -= 1
-                if face_count[f] == 0:
-                    del face_count[f]
 
     for root in containing_seed:
-        counts = {f: 1 for f in itertools.combinations(candidates[root], 2)}
-        extend([root], counts)
+        extend([root], compatible[root], cone_faces[root])
 
     fans = tuple(found[key] for key in sorted(found))
     return EnumerationReport(
@@ -160,3 +168,51 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         candidate_cone_count=k,
         search_nodes=nodes,
     )
+
+
+def _compatibility(rays, candidates) -> list[int]:
+    """Row x is the mask of the candidates y != x whose interiors are
+    disjoint from candidate x's, as `interiors_overlap` decides.
+
+    Three sound tests on ray masks settle most pairs first:
+    - a facet plane of one cone with every ray of the other on its closed
+      far side separates them;
+    - two cones that share a ray and are separated by no facet plane
+      overlap. Near the shared ray the question is whether two plane
+      sectors overlap, and a line through one of their edges separates
+      two sectors with disjoint interiors;
+    - a ray of one cone strictly inside the other has interior points of
+      both nearby, so they overlap.
+    """
+    n = len(rays)
+    # above[i, j] and below[i, j]: the rays w with det(rays[i], rays[j], w)
+    # > 0 and < 0
+    above, below = {}, {}
+    for i, j in itertools.combinations(range(n), 2):
+        h0, h1, h2 = rational.cross3(rays[i], rays[j])
+        signs = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in rays]
+        above[i, j] = sum(1 << w for w, s in enumerate(signs) if s > 0)
+        below[i, j] = sum(1 << w for w, s in enumerate(signs) if s < 0)
+    # near[x]: for each facet of candidate x, the rays strictly on x's side
+    near = []
+    for a, b, c in candidates:
+        near.append(tuple(
+            above[face] if above[face] >> off & 1 else below[face]
+            for face, off in (((a, b), c), ((a, c), b), ((b, c), a))
+        ))
+    inside = [s0 & s1 & s2 for s0, s1, s2 in near]
+    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
+    rows = [0] * len(candidates)
+    for x, y in itertools.combinations(range(len(candidates)), 2):
+        mx, my = masks[x], masks[y]
+        (x0, x1, x2), (y0, y1, y2) = near[x], near[y]
+        if not (my & x0 and my & x1 and my & x2 and mx & y0 and mx & y1 and mx & y2):
+            ok = True
+        elif mx & my or my & inside[x] or mx & inside[y]:
+            ok = False
+        else:
+            ok = not interiors_overlap(rays, candidates[x], candidates[y])
+        if ok:
+            rows[x] |= 1 << y
+            rows[y] |= 1 << x
+    return rows

@@ -10,6 +10,8 @@ in the cones of a fan by Fraction coordinates from Cramer's rule, with no
 dual normals; `relation_by_fraction_cramer` and
 `star_cones_by_fraction_cramer` build a primitive relation and a star
 subdivision from that location.
+`enumerate_by_lists` is the enumeration backtracker as it was before it
+moved to bitsets, with its own `_seed_point`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from toricfans import validate_fan
-from toricfans.errors import UnsupportedStarPatternError
+from toricfans import rational, validate_fan
+from toricfans.enumeration import EnumerationReport
+from toricfans.errors import FanValidationError, UnsupportedStarPatternError
+from toricfans.fan import Fan, canonical_key, interiors_overlap, is_complete, is_smooth
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -245,3 +249,101 @@ def contract_by_link_geometry(fan, ray_index):
         [i - (i > ray_index) for i in cone] for cone in keep + replacement
     ]
     return validate_fan(3, new_rays, new_cones)
+
+
+def _seed_point(rays) -> tuple[int, int, int]:
+    # A point on no plane spanned by two independent rays, so it is interior
+    # to exactly one maximal cone of any complete fan on these rays.
+    # Dependent pairs (opposite rays) span no plane and impose nothing.
+    normals = [
+        c
+        for i, j in itertools.combinations(range(len(rays)), 2)
+        if any(c := rational.cross3(rays[i], rays[j]))
+    ]
+    for t in itertools.count(1):
+        p = (1, t, t * t)
+        if all(rational.dot(nrm, p) != 0 for nrm in normals):
+            return p
+    raise AssertionError("unreachable")
+
+
+def enumerate_by_lists(raw_rays) -> EnumerationReport:
+    """The list-based backtracker that `enumerate_smooth_complete_fans`
+    replaced, kept verbatim: a boolean compatibility matrix filled by
+    `interiors_overlap` alone, a face-count dict and `validate_fan` on every
+    closed surface. Both walk the same search tree, so their reports,
+    `search_nodes` included, must be equal. Expects valid input."""
+    rays = tuple(map(tuple, raw_rays))
+    n = len(rays)
+    candidates = [
+        t
+        for t in itertools.combinations(range(n), 3)
+        if abs(rational.determinant([rays[i] for i in t])) == 1
+    ]
+    k = len(candidates)
+    compatible = [[True] * k for _ in range(k)]
+    for x, y in itertools.combinations(range(k), 2):
+        ok = not interiors_overlap(rays, candidates[x], candidates[y])
+        compatible[x][y] = compatible[y][x] = ok
+
+    seed = _seed_point(rays)
+    containing_seed = []
+    for idx, cand in enumerate(candidates):
+        d, numerators = rational.cramer_numerators([rays[i] for i in cand], seed)
+        if all(n * d > 0 for n in numerators):
+            containing_seed.append(idx)
+
+    by_face: dict[tuple[int, int], list[int]] = {}
+    for idx, cand in enumerate(candidates):
+        for face in itertools.combinations(cand, 2):
+            by_face.setdefault(face, []).append(idx)
+
+    found: dict[tuple, Fan] = {}
+    nodes = 0
+
+    def record(chosen: list[int]) -> None:
+        if {i for c in chosen for i in candidates[c]} != set(range(n)):
+            return
+        try:
+            fan = validate_fan(3, rays, [candidates[c] for c in chosen])
+        except FanValidationError:
+            return
+        if is_complete(fan):
+            if not is_smooth(fan):
+                raise AssertionError("a fan of unimodular cones is not smooth")
+            found.setdefault(canonical_key(fan), fan)
+
+    def extend(chosen: list[int], face_count: dict[tuple[int, int], int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        open_faces = sorted(f for f, c in face_count.items() if c == 1)
+        if not open_faces:
+            record(chosen)
+            return
+        face = open_faces[0]
+        for cand in by_face.get(face, ()):
+            if cand in chosen:
+                continue
+            if not all(compatible[cand][c] for c in chosen):
+                continue
+            for f in itertools.combinations(candidates[cand], 2):
+                face_count[f] = face_count.get(f, 0) + 1
+            chosen.append(cand)
+            extend(chosen, face_count)
+            chosen.pop()
+            for f in itertools.combinations(candidates[cand], 2):
+                face_count[f] -= 1
+                if face_count[f] == 0:
+                    del face_count[f]
+
+    for root in containing_seed:
+        counts = {f: 1 for f in itertools.combinations(candidates[root], 2)}
+        extend([root], counts)
+
+    fans = tuple(found[key] for key in sorted(found))
+    return EnumerationReport(
+        rays=rays,
+        fans=fans,
+        candidate_cone_count=k,
+        search_nodes=nodes,
+    )

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import P3_CONES, P3_RAYS
+from conftest import P3_CONES, P3_RAYS, blowup_chain, random_unimodular
+from oracles import enumerate_by_lists
+from perfbench.workloads import FAMILY_REPRESENTATIVES, instance_name
 from toricfans import (
     build,
     canonical_key,
@@ -14,8 +17,10 @@ from toricfans import (
     unique_fan_condition,
     validate_fan,
 )
+from toricfans.enumeration import _compatibility
 from toricfans.errors import DegenerateRaysError, FanValidationError
-from toricfans import rational
+from toricfans.fan import interiors_overlap
+from toricfans import fanio, rational
 
 
 def naive_smooth_complete_fans(rays):
@@ -91,19 +96,19 @@ class TestExamples:
                 assert canonical_key(out) in keys
 
 
+SMALL_SETS = [
+    P3_RAYS,
+    # octahedron: the six signed unit vectors
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    # projective space plus an interior blow-up ray
+    P3_RAYS + [(1, 1, 1)],
+    # plus a wall blow-up ray
+    P3_RAYS + [(1, 1, 0), (0, 1, 1)],
+]
+
+
 class TestOracleAgreement:
-    @pytest.mark.parametrize(
-        "rays",
-        [
-            P3_RAYS,
-            # octahedron: the six signed unit vectors
-            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
-            # projective space plus an interior blow-up ray
-            P3_RAYS + [(1, 1, 1)],
-            # plus a wall blow-up ray
-            P3_RAYS + [(1, 1, 0), (0, 1, 1)],
-        ],
-    )
+    @pytest.mark.parametrize("rays", SMALL_SETS)
     def test_matches_naive_subset_scan(self, rays):
         report = enumerate_smooth_complete_fans(rays)
         expected = naive_smooth_complete_fans(rays)
@@ -112,6 +117,72 @@ class TestOracleAgreement:
     def test_octahedron_count(self):
         rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
         assert len(enumerate_smooth_complete_fans(rays).fans) == 1
+
+
+# The enumerate workload's family representatives and the lower rungs of
+# its two blow-up ladders.
+RAY_SETS = [
+    pytest.param(build(fid, params).rays, id=instance_name(fid, params))
+    for fid, params in FAMILY_REPRESENTATIVES
+] + [
+    pytest.param(blowup_chain(fid, params, n).rays, id=f"{instance_name(fid, params)}-{n}")
+    for fid, params in (("W7_5", ()), ("Z2", (1,)))
+    for n in range(9, 14)
+]
+
+
+def _unimodular_images(fid, params, seeds):
+    rays = build(fid, params).rays
+    for seed in seeds:
+        m = random_unimodular(random.Random(seed))
+        yield pytest.param([rational.mat_vec(m, v) for v in rays], id=f"{fid}-gl{seed}")
+
+
+class TestBitsetBacktracker:
+    """The bitset search against the list-based one it replaced
+    (`oracles.enumerate_by_lists`) and its overlap matrix against
+    `interiors_overlap` on every candidate pair."""
+
+    @pytest.mark.parametrize("rays", RAY_SETS)
+    def test_compatibility_rows_match_interiors_overlap(self, rays):
+        candidates = [
+            t
+            for t in itertools.combinations(range(len(rays)), 3)
+            if abs(rational.determinant([rays[i] for i in t])) == 1
+        ]
+        rows = _compatibility(rays, candidates)
+        for x, cx in enumerate(candidates):
+            expected = sum(
+                1 << y
+                for y, cy in enumerate(candidates)
+                if y != x and not interiors_overlap(rays, cx, cy)
+            )
+            assert rows[x] == expected, cx
+
+    @pytest.mark.parametrize(
+        "rays",
+        RAY_SETS
+        + SMALL_SETS
+        + list(_unimodular_images("W7_5", (), range(3)))
+        + list(_unimodular_images("Z13pp", (2, 7, 4, 2), range(3))),
+    )
+    def test_report_matches_the_list_backtracker(self, rays):
+        doc = fanio.enumeration_report_to_doc(enumerate_smooth_complete_fans(rays))
+        assert doc == fanio.enumeration_report_to_doc(enumerate_by_lists(rays))
+
+    @pytest.mark.parametrize(
+        "n, fans, candidates, nodes", [(15, 26, 145, 34_059), (17, 6, 182, 130_273)]
+    )
+    def test_heavy_w75_rungs(self, n, fans, candidates, nodes):
+        rays = blowup_chain("W7_5", (), n).rays
+        report = enumerate_smooth_complete_fans(rays)
+        assert (len(report.fans), report.candidate_cone_count, report.search_nodes) == (
+            fans, candidates, nodes
+        )
+        for fan in report.fans:
+            # validate_fan runs the pairwise gluing test the memo stands for
+            assert fan == validate_fan(3, rays, fan.max_cones)
+            assert is_complete(fan) and is_smooth(fan)
 
 
 class TestUniqueFanCondition:
