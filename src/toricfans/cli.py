@@ -253,7 +253,11 @@ def _enumeration_rays(args):
     if args.params is not None:
         raise FanError("enumerate takes --params only with --catalog, not with --rays")
     source = args.rays
-    if Path(source).is_file():
+    try:
+        is_file = Path(source).is_file()
+    except OSError:  # a long inline list is too long for a file name
+        is_file = False
+    if is_file:
         return fanio.load_fan(source).rays
     try:
         rays = tuple(_parse_vector(part) for part in source.split(";") if part)

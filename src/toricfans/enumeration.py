@@ -4,22 +4,28 @@ Candidate cones are the unimodular triples of the given rays, numbered in
 lexicographic order. Backtracking extends a partial fan at its
 lexicographically smallest unmatched wall, trying every candidate on the
 opposite side whose interior avoids all chosen cones; a partial fan with no
-unmatched wall is a closed surface and is kept when it uses every ray and
-its cones glue properly. Every complete smooth fan on the rays is reached
-exactly once: it contains a unique cone holding the (generic) seed point,
-and each wall-matching step is forced.
+unmatched wall is a closed surface and is kept when it uses every ray.
+Every complete smooth fan on the rays is reached exactly once: it contains
+a unique cone holding the (generic) seed point, and each wall-matching step
+is forced.
 
 The search runs on bitsets (Python ints). A candidate's row of the
 compatibility matrix is the mask of the candidates whose interiors avoid
 its own, so the candidates still allowed are the AND of the chosen rows.
 The unmatched walls are the XOR of the chosen cones' face masks: two
 compatible cones never lie on the same side of a shared face, so no face is
-in three chosen cones and odd parity means exactly one. Sign masks of the
-rays against each plane through two rays settle most pairs of the matrix,
-and `interiors_overlap` decides the rest. A closed surface gets
-`validate_fan`'s pairwise gluing test, `_properly_glued`, with each
-distinct cone pair tested once per call (a memo by pair); the other checks
-of `validate_fan` hold for every candidate by construction.
+in three chosen cones and odd parity means exactly one.
+
+A closed surface of pairwise compatible cones glues properly, so
+`validate_fan`'s pairwise gluing test is not run (a closed surface with
+disjoint interiors tiles space face to face; De Loera, Rambau & Santos,
+*Triangulations*, 2010). If chosen cones A and B met in more than a common
+face, a ray r of one, say B, would lie in the relative interior of A or of
+a 2-face G of A. G lies in exactly one other chosen cone A', on the far
+side of G, so A and A' cover a neighbourhood of r; B is neither, and its
+interior near r meets the interior of A or of A', against compatibility.
+The other checks of `validate_fan` hold for every candidate by
+construction.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 from . import rational
 from .errors import DegenerateRaysError
-from .fan import Fan, _is_int_list, _properly_glued, canonical_key, interiors_overlap
+from .fan import Fan, _is_int_list, canonical_key
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,8 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         if abs(rational.determinant([rays[i] for i in t])) == 1
     ]
     k = len(candidates)
-    compatible = _compatibility(rays, candidates)
+    cone_rays = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
+    compatible = _compatibility(rays, candidates, cone_rays)
 
     seed = _seed_point(rays)
     containing_seed = []
@@ -118,28 +125,19 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         for f in itertools.combinations(cand, 2):
             cone_faces[idx] |= 1 << face_index[f]
             by_face[face_index[f]] |= 1 << idx
-    cone_rays = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
 
     found: dict[tuple, Fan] = {}
-    glued: dict[tuple[int, int], bool] = {}
     nodes = 0
 
     def record(chosen: list[int]) -> None:
-        # Candidates are distinct unimodular triples and every face lies in
-        # two chosen cones, so only ray coverage and gluing are left to test.
+        # Candidates are distinct unimodular triples and a closed surface
+        # glues properly (module docstring), so only ray coverage is left.
         covered = 0
         for c in chosen:
             covered |= cone_rays[c]
         if covered != (1 << n) - 1:
             return
-        cones = sorted(chosen)
-        for x, y in itertools.combinations(cones, 2):
-            ok = glued.get((x, y))
-            if ok is None:
-                ok = glued[x, y] = _properly_glued(rays, candidates[x], candidates[y])
-            if not ok:
-                return
-        fan = Fan(3, rays, tuple(candidates[c] for c in cones))
+        fan = Fan(3, rays, tuple(candidates[c] for c in sorted(chosen)))
         found.setdefault(canonical_key(fan), fan)
 
     def extend(chosen: list[int], allowed: int, open_faces: int) -> None:
@@ -170,49 +168,40 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     )
 
 
-def _compatibility(rays, candidates) -> list[int]:
+def _compatibility(rays, candidates, masks) -> list[int]:
     """Row x is the mask of the candidates y != x whose interiors are
-    disjoint from candidate x's, as `interiors_overlap` decides.
+    disjoint from candidate x's; ``masks[x]`` is the ray mask of candidate x.
 
-    Three sound tests on ray masks settle most pairs first:
-    - a facet plane of one cone with every ray of the other on its closed
-      far side separates them;
-    - two cones that share a ray and are separated by no facet plane
-      overlap. Near the shared ray the question is whether two plane
-      sectors overlap, and a line through one of their edges separates
-      two sectors with disjoint interiors;
-    - a ray of one cone strictly inside the other has interior points of
-      both nearby, so they overlap.
+    x and y are compatible iff a plane through two rays has x on its closed
+    upper side and y on its closed lower side, or the reverse. Any passing
+    plane separates them. The planes tried carry every extreme normal that
+    `fan.interiors_overlap` tries: the facet planes of x and of y and, when
+    x and y share no ray, the nine planes through one ray of each.
+    Opposite rays span no plane and are skipped.
     """
-    n = len(rays)
-    # above[i, j] and below[i, j]: the rays w with det(rays[i], rays[j], w)
-    # > 0 and < 0
-    above, below = {}, {}
-    for i, j in itertools.combinations(range(n), 2):
+    # sides[i, j]: the masks of the rays w with det(rays[i], rays[j], w) > 0
+    # and < 0
+    sides = {}
+    for i, j in itertools.combinations(range(len(rays)), 2):
         h0, h1, h2 = rational.cross3(rays[i], rays[j])
+        if not (h0 or h1 or h2):
+            continue
         signs = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in rays]
-        above[i, j] = sum(1 << w for w, s in enumerate(signs) if s > 0)
-        below[i, j] = sum(1 << w for w, s in enumerate(signs) if s < 0)
-    # near[x]: for each facet of candidate x, the rays strictly on x's side
-    near = []
-    for a, b, c in candidates:
-        near.append(tuple(
-            above[face] if above[face] >> off & 1 else below[face]
-            for face, off in (((a, b), c), ((a, c), b), ((b, c), a))
-        ))
-    inside = [s0 & s1 & s2 for s0, s1, s2 in near]
-    masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
+        up = sum(1 << w for w, s in enumerate(signs) if s > 0)
+        down = sum(1 << w for w, s in enumerate(signs) if s < 0)
+        sides[i, j], sides[j, i] = (up, down), (down, up)
+    facets = [list(itertools.combinations(cand, 2)) for cand in candidates]
     rows = [0] * len(candidates)
     for x, y in itertools.combinations(range(len(candidates)), 2):
         mx, my = masks[x], masks[y]
-        (x0, x1, x2), (y0, y1, y2) = near[x], near[y]
-        if not (my & x0 and my & x1 and my & x2 and mx & y0 and mx & y1 and mx & y2):
-            ok = True
-        elif mx & my or my & inside[x] or mx & inside[y]:
-            ok = False
-        else:
-            ok = not interiors_overlap(rays, candidates[x], candidates[y])
-        if ok:
-            rows[x] |= 1 << y
-            rows[y] |= 1 << x
+        planes = facets[x] + facets[y]
+        if not mx & my:
+            planes += itertools.product(candidates[x], candidates[y])
+        for p in planes:
+            if p in sides:
+                up, down = sides[p]
+                if not (mx & down or my & up) or not (mx & up or my & down):
+                    rows[x] |= 1 << y
+                    rows[y] |= 1 << x
+                    break
     return rows

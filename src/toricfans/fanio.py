@@ -96,7 +96,8 @@ def load_fan(path) -> Fan:
         raise FanValidationError(f"cannot read fan file {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, or an integer past CPython's digit limit
         raise FanValidationError(f"not a JSON fan file: {exc}") from None
     return fan_from_doc(doc)
 

@@ -379,6 +379,23 @@ class TestRejectedInput:
         argv = [a.format(fan=fan, tmp=tmp_path) for a in argv]
         assert_one_line_rejection(*run(capsys, *argv))
 
+    @pytest.mark.parametrize("argv", [["check"], ["subdivide", "--ray=1,1,1"]])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"dim": 3, "rays": [[1' + "0" * 5000 + ', 0, 0]], "max_cones": []}',
+        ],
+        ids=["nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+    )
+    def test_unparsable_fan_file_exits_two(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "bad.fan"
+        path.write_text(text)
+        # check also reports the rejection on stdout, as {"valid": false, ...}
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("not a JSON fan file: ")
+
     def test_negative_wall_label_says_labels_are_one_based(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "W7_5")
         code, out, err = run(capsys, "surgery", str(path), "--wall", "-1,7")
@@ -508,6 +525,17 @@ class TestEnumerateAndCatalog:
             "--expect-count", "1",
         )
         assert code == 0
+
+    def test_enumerate_inline_rays_longer_than_a_file_name(self, tmp_path, capsys):
+        # past 255 bytes, asking whether the list names a file raises OSError
+        fan = blowup_chain("W7_5", (), 15)
+        path = tmp_path / "w75-15.fan"
+        fanio.save_fan(fan, path)
+        inline = "; ".join(", ".join(f"{c:>4}" for c in v) for v in fan.rays)
+        assert len(inline.encode()) > 255
+        code, out, err = run(capsys, "enumerate", "--rays", inline)
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "enumerate", "--rays", str(path))[1]
 
     @pytest.mark.parametrize("rays", ["", ";", "{tmp}", "{tmp}/absent.fan"])
     def test_enumerate_rays_that_are_no_file_parse_inline(self, tmp_path, capsys, rays):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P3_CONES, P3_RAYS, blowup_chain, random_unimodular
 from oracles import enumerate_by_lists
@@ -138,34 +140,64 @@ def _unimodular_images(fid, params, seeds):
         yield pytest.param([rational.mat_vec(m, v) for v in rays], id=f"{fid}-gl{seed}")
 
 
+# Every ray set the reports are compared on: the ones above, sets with
+# opposite rays (the octahedron pairs every ray with its opposite) and
+# unimodular images of two catalog fans.
+REPORT_SETS = (
+    RAY_SETS
+    + SMALL_SETS
+    + list(_unimodular_images("W7_5", (), range(3)))
+    + list(_unimodular_images("Z13pp", (2, 7, 4, 2), range(3)))
+)
+
+
+def _rows_against_interiors_overlap(rays, candidates):
+    masks = [sum(1 << i for i in cand) for cand in candidates]
+    rows = _compatibility(rays, candidates, masks)
+    for x, cx in enumerate(candidates):
+        expected = sum(
+            1 << y
+            for y, cy in enumerate(candidates)
+            if y != x and not interiors_overlap(rays, cx, cy)
+        )
+        assert rows[x] == expected, cx
+
+
+_small_rays = st.lists(
+    st.tuples(*[st.integers(-2, 2)] * 3).filter(rational.is_primitive),
+    min_size=4,
+    max_size=7,
+    unique=True,
+)
+
+
 class TestBitsetBacktracker:
     """The bitset search against the list-based one it replaced
     (`oracles.enumerate_by_lists`) and its overlap matrix against
     `interiors_overlap` on every candidate pair."""
 
-    @pytest.mark.parametrize("rays", RAY_SETS)
+    @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_compatibility_rows_match_interiors_overlap(self, rays):
         candidates = [
             t
             for t in itertools.combinations(range(len(rays)), 3)
             if abs(rational.determinant([rays[i] for i in t])) == 1
         ]
-        rows = _compatibility(rays, candidates)
-        for x, cx in enumerate(candidates):
-            expected = sum(
-                1 << y
-                for y, cy in enumerate(candidates)
-                if y != x and not interiors_overlap(rays, cx, cy)
-            )
-            assert rows[x] == expected, cx
+        _rows_against_interiors_overlap(rays, candidates)
 
-    @pytest.mark.parametrize(
-        "rays",
-        RAY_SETS
-        + SMALL_SETS
-        + list(_unimodular_images("W7_5", (), range(3)))
-        + list(_unimodular_images("Z13pp", (2, 7, 4, 2), range(3))),
-    )
+    @settings(max_examples=200, deadline=None)
+    @given(_small_rays)
+    def test_compatibility_matches_interiors_overlap_on_random_rays(self, rays):
+        # every nondegenerate triple, not only the unimodular ones, over ray
+        # sets with coplanar and opposite rays
+        candidates = [
+            t
+            for t in itertools.combinations(range(len(rays)), 3)
+            if rational.determinant([rays[i] for i in t])
+        ]
+        _rows_against_interiors_overlap(rays, candidates)
+
+    @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_report_matches_the_list_backtracker(self, rays):
         doc = fanio.enumeration_report_to_doc(enumerate_smooth_complete_fans(rays))
         assert doc == fanio.enumeration_report_to_doc(enumerate_by_lists(rays))
@@ -180,7 +212,7 @@ class TestBitsetBacktracker:
             fans, candidates, nodes
         )
         for fan in report.fans:
-            # validate_fan runs the pairwise gluing test the memo stands for
+            # validate_fan runs the pairwise gluing test the enumerator omits
             assert fan == validate_fan(3, rays, fan.max_cones)
             assert is_complete(fan) and is_smooth(fan)
 
