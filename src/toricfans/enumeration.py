@@ -5,14 +5,18 @@ lexicographic order. Backtracking extends a partial fan at its
 lexicographically smallest unmatched wall, trying every candidate on the
 opposite side whose interior avoids all chosen cones; a partial fan with no
 unmatched wall is a closed surface and is kept when it uses every ray.
-Every complete smooth fan on the rays is reached exactly once: it contains
-a unique cone holding the (generic) seed point, and each wall-matching step
-is forced.
+Every complete smooth fan on the rays is reached exactly once: it has one
+root, its cone holding the (generic) seed point, and each wall-matching
+step is forced.
 
 The search runs on bitsets (Python ints). A candidate's row of the
 compatibility matrix is the mask of the candidates whose interiors avoid
 its own, so the candidates still allowed are the AND of the chosen rows.
-The unmatched walls are the XOR of the chosen cones' face masks: two
+One pass over the planes through two rays (`_planes`) builds the rows and
+finds the roots: two candidates are compatible iff such a plane has them on
+opposite closed sides, and the roots are the candidates that no plane puts
+on the side away from the seed. The unmatched walls are the XOR of the
+chosen cones' face masks, in which face (a, b) is bit ``a * n + b``: two
 compatible cones never lie on the same side of a shared face, so no face is
 in three chosen cones and odd parity means exactly one.
 
@@ -106,25 +110,13 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     ]
     k = len(candidates)
     cone_rays = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
-    compatible = _compatibility(rays, candidates, cone_rays)
-
-    seed = _seed_point(rays)
-    containing_seed = []
-    for idx, cand in enumerate(candidates):
-        d, numerators = rational.cramer_numerators([rays[i] for i in cand], seed)
-        if all(n * d > 0 for n in numerators):
-            containing_seed.append(idx)
-
-    # Faces are numbered in lexicographic order, so the lowest set bit of a
-    # face mask is its smallest face.
-    faces = sorted({f for cand in candidates for f in itertools.combinations(cand, 2)})
-    face_index = {f: i for i, f in enumerate(faces)}
+    compatible, roots = _planes(rays, cone_rays, _seed_point(rays))
     cone_faces = [0] * k
-    by_face = [0] * len(faces)
-    for idx, cand in enumerate(candidates):
-        for f in itertools.combinations(cand, 2):
-            cone_faces[idx] |= 1 << face_index[f]
-            by_face[face_index[f]] |= 1 << idx
+    by_face = [0] * (n * n)
+    for idx, (a, b, c) in enumerate(candidates):
+        for face in (a * n + b, a * n + c, b * n + c):
+            cone_faces[idx] |= 1 << face
+            by_face[face] |= 1 << idx
 
     found: dict[tuple, Fan] = {}
     nodes = 0
@@ -156,7 +148,7 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
             extend(chosen, allowed & compatible[cand], open_faces ^ cone_faces[cand])
             chosen.pop()
 
-    for root in containing_seed:
+    for root in (x for x in range(k) if roots >> x & 1):
         extend([root], compatible[root], cone_faces[root])
 
     fans = tuple(found[key] for key in sorted(found))
@@ -168,20 +160,24 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     )
 
 
-def _compatibility(rays, candidates, masks) -> list[int]:
-    """Row x is the mask of the candidates y != x whose interiors are
-    disjoint from candidate x's; ``masks[x]`` is the ray mask of candidate x.
+def _planes(rays, masks, seed) -> tuple[list[int], int]:
+    """The compatibility rows and the root mask of candidates with ray masks
+    ``masks``, from one pass over the planes through two non-opposite rays.
 
-    x and y are compatible iff a plane through two rays has x on its closed
-    upper side and y on its closed lower side, or the reverse. Any passing
-    plane separates them. The planes tried carry every extreme normal that
-    `fan.interiors_overlap` tries: the facet planes of x and of y and, when
-    x and y share no ray, the nine planes through one ray of each.
-    Opposite rays span no plane and are skipped.
+    On each plane, ``above`` is the candidates with no ray strictly below
+    it and ``below`` those with no ray strictly above; each of ``above``
+    ORs the mask of ``below`` into its row, and the reverse. The plane
+    separates the two, and the planes include every extreme normal that
+    `fan.interiors_overlap` tries (the facet planes of both cones and the
+    nine planes through one ray of each), so the rows are exact.
+
+    Each plane drops from the roots the side that does not hold ``seed``,
+    which lies on no plane. A cone that misses the seed has a negative
+    coordinate against some ray c, and the facet plane opposite c has the
+    cone on its closed far side, so the roots are the cones holding it.
     """
-    # sides[i, j]: the masks of the rays w with det(rays[i], rays[j], w) > 0
-    # and < 0
-    sides = {}
+    rows = [0] * len(masks)
+    roots = (1 << len(masks)) - 1
     for i, j in itertools.combinations(range(len(rays)), 2):
         h0, h1, h2 = rational.cross3(rays[i], rays[j])
         if not (h0 or h1 or h2):
@@ -189,19 +185,14 @@ def _compatibility(rays, candidates, masks) -> list[int]:
         signs = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in rays]
         up = sum(1 << w for w, s in enumerate(signs) if s > 0)
         down = sum(1 << w for w, s in enumerate(signs) if s < 0)
-        sides[i, j], sides[j, i] = (up, down), (down, up)
-    facets = [list(itertools.combinations(cand, 2)) for cand in candidates]
-    rows = [0] * len(candidates)
-    for x, y in itertools.combinations(range(len(candidates)), 2):
-        mx, my = masks[x], masks[y]
-        planes = facets[x] + facets[y]
-        if not mx & my:
-            planes += itertools.product(candidates[x], candidates[y])
-        for p in planes:
-            if p in sides:
-                up, down = sides[p]
-                if not (mx & down or my & up) or not (mx & up or my & down):
-                    rows[x] |= 1 << y
-                    rows[y] |= 1 << x
-                    break
-    return rows
+        above = [x for x, m in enumerate(masks) if not m & down]
+        below = [x for x, m in enumerate(masks) if not m & up]
+        above_mask = sum(1 << x for x in above)
+        below_mask = sum(1 << x for x in below)
+        for x in above:
+            rows[x] |= below_mask
+        for x in below:
+            rows[x] |= above_mask
+        seed_above = h0 * seed[0] + h1 * seed[1] + h2 * seed[2] > 0
+        roots &= ~(below_mask if seed_above else above_mask)
+    return rows, roots

@@ -8,7 +8,8 @@ built lookup tables (`faces`, `face_census`), which are the same whichever
 thread builds them and are never mutated. A wall circuit comes from four
 3x3 determinants (`wall_circuit`) and depends only on the wall's four ray
 indices and the ray list, so the fans of one surgery search, which share a
-ray list and never leave the search, share one `circuits` memo of them.
+ray list and never leave the search, share one `circuits` memo of them,
+and the CLI's `check` works on a copy of its loaded fan with its own memo.
 Every other fan, including each one from `validate_fan`, carries none and
 recomputes its circuits on each call.
 
@@ -489,6 +490,11 @@ def canonical_key(fan: Fan):
 
 
 def change_basis(fan: Fan, matrix) -> Fan:
-    """Apply an invertible integer coordinate change to every ray."""
+    """Apply an invertible integer coordinate change, three lists or tuples
+    of three ints each, to every ray."""
+    if not isinstance(matrix, (list, tuple)) or len(matrix) != 3 or not all(
+        _is_int_list(row) and len(row) == 3 for row in matrix
+    ):
+        raise FanValidationError(f"change_basis needs a 3x3 integer matrix, got {matrix!r}")
     new_rays = [rational.mat_vec(matrix, v) for v in fan.rays]
     return validate_fan(fan.dim, new_rays, fan.max_cones)

@@ -90,11 +90,13 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
         level = next_level
 
 
-def _memo_copy(fan: Fan, max_depth: int, query: str) -> Fan:
+def _memo_copy(fan: Fan, max_depth: int, flops_only: bool, query: str) -> Fan:
     """A complete `fan`'s copy with a fresh circuit memo for one search to an
-    int `max_depth` >= 0; bools are rejected."""
+    int `max_depth` >= 0 (not a bool), with a bool `flops_only`."""
     if type(max_depth) is not int or max_depth < 0:
         raise FanError(f"{query} needs max_depth to be an int >= 0, got {max_depth!r}")
+    if type(flops_only) is not bool:
+        raise FanError(f"{query} needs flops_only to be a bool, got {flops_only!r}")
     start = replace(fan, circuits={})
     if not is_complete(start):
         raise NotCompleteError(f"{query} needs a complete fan")
@@ -103,7 +105,7 @@ def _memo_copy(fan: Fan, max_depth: int, query: str) -> Fan:
 
 def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> SearchResult:
     """Search for a projective fan within `max_depth` wall exchanges."""
-    start = _memo_copy(fan, max_depth, "projectivize")
+    start = _memo_copy(fan, max_depth, flops_only, "projectivize")
     if is_projective(start)[0]:
         return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
     visited, depth_reached = 1, 0
@@ -120,7 +122,7 @@ def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> Sear
 
 def surgery_graph(fan: Fan, max_depth: int, flops_only: bool = False) -> SurgeryGraph:
     """The surgery graph out to a fixed depth, in deterministic BFS order."""
-    start = _memo_copy(fan, max_depth, "surgery_graph")
+    start = _memo_copy(fan, max_depth, flops_only, "surgery_graph")
     nodes = [GraphNode(canonical_key(start), is_smooth(start), is_projective(start)[0])]
     edges: list[SurgeryStep] = []
     for route, child in _explore(start, max_depth, flops_only):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import toricfans
-from conftest import CATALOG_INSTANCES, P3_RAYS, blowup_chain
+from conftest import CATALOG_INSTANCES, P3_CONES, P3_RAYS, blowup_chain
 from toricfans import (
     build,
     canonical_key,
@@ -687,3 +687,79 @@ def test_fan_reports_exit_cleanly(fuzz_fan_files, data):
     else:
         json.loads(out)
         assert code == 1 or err == ""
+
+
+_MUTATIONS = (
+    "drop-cone", "change-index", "nudge-ray", "negate-ray", "add-ray", "add-cone", "swap-rays"
+)
+
+
+def _mutate(doc, data):
+    """One edit of a fan document in place, as a hand-edited file might carry."""
+    rays, cones = doc["rays"], doc["max_cones"]
+    ray = st.integers(0, len(rays) - 1)
+    kind = data.draw(st.sampled_from(_MUTATIONS))
+    if kind == "drop-cone" and cones:
+        cones.pop(data.draw(st.integers(0, len(cones) - 1)))
+    elif kind == "change-index" and cones:
+        cone = data.draw(st.sampled_from(cones))
+        cone[data.draw(st.integers(0, 2))] = data.draw(st.integers(-1, len(rays)))
+    elif kind == "nudge-ray":
+        rays[data.draw(ray)][data.draw(st.integers(0, 2))] += data.draw(st.sampled_from([-1, 1]))
+    elif kind == "negate-ray":
+        i = data.draw(ray)
+        rays[i] = [-x for x in rays[i]]
+    elif kind == "add-ray":
+        rays.append(data.draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
+    elif kind == "add-cone":
+        cones.append(sorted(data.draw(st.lists(ray, min_size=3, max_size=3, unique=True))))
+    elif kind == "swap-rays":
+        i, j = data.draw(ray), data.draw(ray)
+        rays[i], rays[j] = rays[j], rays[i]
+
+
+@pytest.fixture(scope="module")
+def mutation_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+_MUTATION_BASES = [
+    fanio.fan_to_doc(build(fid, params)) for fid, params in CATALOG_INSTANCES[::5]
+] + [fanio.fan_to_doc(validate_fan(3, P3_RAYS, P3_CONES))]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_mutated_fan_documents_exit_cleanly(mutation_folder, data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(_MUTATION_BASES))))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data)
+    path = str(mutation_folder / "mutated.fan")
+    Path(path).write_text(json.dumps(doc))
+    n = len(doc["rays"])
+    labels = st.lists(st.integers(1, n), min_size=1, max_size=2).map(
+        lambda ks: ",".join(map(str, ks))
+    )
+    vector = st.lists(st.integers(-1, 2), min_size=3, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+    for argv in (
+        ["check", path, "--certificate", "--nef"],
+        ["walls", path],
+        ["relations", path],
+        ["collections", path],
+        ["search", path, "--max-depth", "1"],
+        ["graph", path, "--max-depth", "1"],
+        ["enumerate", "--rays", path],
+        ["contract", path, "--ray", data.draw(labels)],
+        ["subdivide", path, "--ray", data.draw(vector)],
+        ["surgery", path, "--wall", data.draw(labels)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, doc, code, err)
+        assert "Traceback" not in err, (argv, doc, err)
+        if code == 2:
+            assert len(err.splitlines()) == 1, (argv, doc, err)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P3_CONES, P3_RAYS, blowup_chain, random_unimodular
-from oracles import enumerate_by_lists
+from oracles import _seed_point, enumerate_by_lists, fraction_cramer
 from perfbench.workloads import FAMILY_REPRESENTATIVES, instance_name
 from toricfans import (
     build,
@@ -19,10 +19,10 @@ from toricfans import (
     unique_fan_condition,
     validate_fan,
 )
-from toricfans.enumeration import _compatibility
+from toricfans.enumeration import _planes
 from toricfans.errors import DegenerateRaysError, FanValidationError
 from toricfans.fan import interiors_overlap
-from toricfans import fanio, rational
+from toricfans import enumeration, fanio, rational
 
 
 def naive_smooth_complete_fans(rays):
@@ -151,9 +151,13 @@ REPORT_SETS = (
 )
 
 
-def _rows_against_interiors_overlap(rays, candidates):
+def _planes_of(rays, candidates):
     masks = [sum(1 << i for i in cand) for cand in candidates]
-    rows = _compatibility(rays, candidates, masks)
+    return _planes(rays, masks, _seed_point(rays))
+
+
+def _rows_against_interiors_overlap(rays, candidates):
+    rows, _ = _planes_of(rays, candidates)
     for x, cx in enumerate(candidates):
         expected = sum(
             1 << y
@@ -161,6 +165,25 @@ def _rows_against_interiors_overlap(rays, candidates):
             if y != x and not interiors_overlap(rays, cx, cy)
         )
         assert rows[x] == expected, cx
+
+
+def _roots_against_fraction_cramer(rays, candidates):
+    _, roots = _planes_of(rays, candidates)
+    seed = _seed_point(rays)
+    expected = sum(
+        1 << x
+        for x, cand in enumerate(candidates)
+        if all(c > 0 for c in fraction_cramer([rays[i] for i in cand], seed))
+    )
+    assert roots == expected
+
+
+def _unimodular_triples(rays):
+    return [
+        t
+        for t in itertools.combinations(range(len(rays)), 3)
+        if abs(rational.determinant([rays[i] for i in t])) == 1
+    ]
 
 
 _small_rays = st.lists(
@@ -173,34 +196,49 @@ _small_rays = st.lists(
 
 class TestBitsetBacktracker:
     """The bitset search against the list-based one it replaced
-    (`oracles.enumerate_by_lists`) and its overlap matrix against
-    `interiors_overlap` on every candidate pair."""
+    (`oracles.enumerate_by_lists`), its overlap matrix against
+    `interiors_overlap` on every candidate pair and its roots against the
+    Fraction coordinates of the seed point in every candidate."""
 
     @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_compatibility_rows_match_interiors_overlap(self, rays):
-        candidates = [
-            t
-            for t in itertools.combinations(range(len(rays)), 3)
-            if abs(rational.determinant([rays[i] for i in t])) == 1
-        ]
-        _rows_against_interiors_overlap(rays, candidates)
+        _rows_against_interiors_overlap(rays, _unimodular_triples(rays))
+
+    @pytest.mark.parametrize("rays", REPORT_SETS)
+    def test_roots_are_the_candidates_holding_the_seed(self, rays):
+        _roots_against_fraction_cramer(rays, _unimodular_triples(rays))
 
     @settings(max_examples=200, deadline=None)
     @given(_small_rays)
     def test_compatibility_matches_interiors_overlap_on_random_rays(self, rays):
         # every nondegenerate triple, not only the unimodular ones, over ray
-        # sets with coplanar and opposite rays
+        # sets with coplanar and opposite rays; the roots are checked too
         candidates = [
             t
             for t in itertools.combinations(range(len(rays)), 3)
             if rational.determinant([rays[i] for i in t])
         ]
         _rows_against_interiors_overlap(rays, candidates)
+        _roots_against_fraction_cramer(rays, candidates)
 
     @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_report_matches_the_list_backtracker(self, rays):
         doc = fanio.enumeration_report_to_doc(enumerate_smooth_complete_fans(rays))
         assert doc == fanio.enumeration_report_to_doc(enumerate_by_lists(rays))
+
+    @pytest.mark.parametrize("rays", REPORT_SETS)
+    def test_each_fan_is_reached_exactly_once(self, rays, monkeypatch):
+        # one root per fan and forced wall matching: every closed surface
+        # that uses all rays is a distinct fan, keyed once
+        calls = []
+
+        def spy(fan):
+            calls.append(fan)
+            return canonical_key(fan)
+
+        monkeypatch.setattr(enumeration, "canonical_key", spy)
+        report = enumerate_smooth_complete_fans(rays)
+        assert len(calls) == len(report.fans)
 
     @pytest.mark.parametrize(
         "n, fans, candidates, nodes", [(15, 26, 145, 34_059), (17, 6, 182, 130_273)]

@@ -583,6 +583,23 @@ class TestChangeOfBasis:
                 assert picard_number(moved) == picard_number(fan)
                 assert primitive_collections(moved) == primitive_collections(fan)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [(1, 0), (0, 1), (0, 0)],
+            [(1, 0, 0), (0, 1, 0)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1.0)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, True)],
+            [(1, 0, 0), (0, 1, 0), "001"],
+            "abc",
+            None,
+        ],
+    )
+    def test_malformed_matrix_is_rejected(self, matrix):
+        with pytest.raises(FanValidationError, match="3x3 integer matrix"):
+            change_basis(build("W7_5"), matrix)
+
 
 def _circuit_by_solve(fan, wall):
     # the general route: coordinates of the second off ray in the basis

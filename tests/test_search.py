@@ -107,6 +107,14 @@ def test_max_depth_must_be_a_non_negative_int(p3, query, max_depth):
         query(p3, max_depth)
 
 
+@pytest.mark.parametrize("flops_only", ["no", 0.0, 1, None])
+@pytest.mark.parametrize("query", [projectivize, surgery_graph])
+def test_flops_only_must_be_a_bool(p3, query, flops_only):
+    # "no" would run flops only and 0.0 every kind if taken by truthiness
+    with pytest.raises(FanError, match="flops_only"):
+        query(p3, 1, flops_only)
+
+
 def test_search_ends_when_its_component_is_exhausted():
     # the component's 56 fans lie within 8 exchanges of the start, and the
     # ninth level adds only edges back to them; there is no flop wall at all
