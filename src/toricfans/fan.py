@@ -14,7 +14,9 @@ Every other fan, including each one from `validate_fan`, carries none and
 recomputes its circuits on each call.
 
 Only simplicial fans are representable: a maximal cone with linearly
-dependent generators is rejected at validation rather than supported.
+dependent generators is rejected at validation rather than supported. Only
+input, fan files and catalog builds, goes through `validate_fan`; every
+other fan is built directly, by a construction known to keep it valid.
 Whether two cones glue properly or share interior points is decided by one
 exact integer test that looks for a separating plane among the cross
 products of their rays (`_separated`). Which maximal cones hold a point is
@@ -56,10 +58,8 @@ ConeTuple = tuple[int, ...]
 class Fan:
     """A simplicial fan given by primitive rays and full-dimensional cones.
 
-    Input enters through `validate_fan`, which checks the whole fan, as do
-    the candidates of `contract_ray` and `change_basis`. `star_subdivide`
-    and the wall exchanges of `surgery` build their results directly from a
-    local edit of a valid fan, which keeps it valid.
+    Input enters through `validate_fan`; `star_subdivide`, `contract_ray`,
+    `change_basis` and `surgery`'s wall exchanges build their fans directly.
 
     ``circuits``, when not None, memoizes `wall_circuit` by
     ``wall.rays + wall.off_rays`` for every fan on this ray list that shares
@@ -424,32 +424,28 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
 def contract_ray(fan: Fan, ray_index: int) -> Fan:
     """Remove a ray whose star has one of the two supported blow-down shapes.
 
-    Pattern P1: the link is a triangle; the three star cones collapse to the
-    cone on the link. Pattern P2: the link is a 4-cycle (x, a, y, b); the
-    four star cones collapse to (a, b, x) and (a, b, y) for a diagonal
-    (a, b), tried in index order. A candidate is returned only when it is a
-    valid fan and star subdivision along the removed ray gives back the
-    input exactly, which holds iff the ray is interior to the cone on the
-    triangle or to the 2-cone on the diagonal.
+    P1: the link is a triangle, and the star collapses to the cone on it.
+    P2: the link is a 4-cycle (x, a, y, b), and the star collapses to
+    (a, b, x) and (a, b, y) for the first diagonal (a, b) in index order.
+    The ray's Cramer numerators in the first new cone decide: all positive
+    for P1, positive on a and b and zero on x for P2; a zero determinant
+    refuses. (A 2-face of a valid fan lies in at most two cones, so three
+    link edges on three rays are a triangle and four on four a 4-cycle.)
+    This is exact: subdividing the new cones at the ray gives exactly the
+    star's cones, so they cover the same region, and no kept cone contains
+    the ray. So the result is a valid fan whose subdivision is the input.
     """
     if type(ray_index) is not int or not 0 <= ray_index < len(fan.rays):
         raise FanValidationError(f"no ray with index {ray_index!r}")
     star = [cone for cone in fan.max_cones if ray_index in cone]
-    keep = [cone for cone in fan.max_cones if ray_index not in cone]
     link_edges = [tuple(i for i in cone if i != ray_index) for cone in star]
     vertices = sorted({i for e in link_edges for i in e})
-    degrees = {i: sum(i in e for e in link_edges) for i in vertices}
-    simple = len(set(link_edges)) == len(link_edges) and all(
-        d == 2 for d in degrees.values()
-    )
-
-    candidates: list[list[ConeTuple]]
-    if simple and len(star) == 3 and len(vertices) == 3:
-        candidates = [[tuple(vertices)]]
+    if len(star) == len(vertices) == 3:
+        candidates = [(vertices, [tuple(vertices)])]
         refusal = f"ray {ray_index} is not interior to the cone on its link"
-    elif simple and len(star) == 4 and len(vertices) == 4:
+    elif len(star) == len(vertices) == 4:
         candidates = [
-            [tuple(sorted((a, b, x))) for x in vertices if x not in (a, b)]
+            ((a, b), [tuple(sorted((a, b, x))) for x in vertices if x not in (a, b)])
             for a, b in itertools.combinations(vertices, 2)
             if (a, b) not in link_edges
         ]
@@ -458,18 +454,15 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
         raise UnsupportedStarPatternError(
             f"the star of ray {ray_index} is neither a triangle nor a 4-cycle"
         )
-
-    removed = fan.rays[ray_index]
-    remap = {old: old - (old > ray_index) for old in range(len(fan.rays))}
-    new_rays = [v for i, v in enumerate(fan.rays) if i != ray_index]
-    for replacement in candidates:
-        new_cones = [tuple(remap[i] for i in cone) for cone in keep + replacement]
-        try:
-            out = validate_fan(fan.dim, new_rays, new_cones)
-            if canonical_key(star_subdivide(out, removed)) == canonical_key(fan):
-                return out
-        except (FanValidationError, NotInSupportError):
+    for inside, new in candidates:  # the rays to be interior to, the new cones
+        first = [fan.rays[i] for i in new[0]]
+        if rational.determinant(first) == 0:  # as on a coplanar link
             continue
+        d, nums = rational.cramer_numerators(first, fan.rays[ray_index])
+        if all(d * n > 0 if i in inside else n == 0 for i, n in zip(new[0], nums)):
+            cones = [c for c in fan.max_cones if ray_index not in c] + new
+            cones = sorted(tuple(i - (i > ray_index) for i in c) for c in cones)
+            return Fan(fan.dim, fan.rays[:ray_index] + fan.rays[ray_index + 1 :], tuple(cones))
     raise UnsupportedStarPatternError(refusal)
 
 
@@ -491,10 +484,17 @@ def canonical_key(fan: Fan):
 
 def change_basis(fan: Fan, matrix) -> Fan:
     """Apply an invertible integer coordinate change, three lists or tuples
-    of three ints each, to every ray."""
+    of three ints each, to every ray. An invertible linear map keeps the rays
+    distinct, the cones independent and the gluing proper, so primitivity is
+    the only check it can fail."""
     if not isinstance(matrix, (list, tuple)) or len(matrix) != 3 or not all(
         _is_int_list(row) and len(row) == 3 for row in matrix
     ):
         raise FanValidationError(f"change_basis needs a 3x3 integer matrix, got {matrix!r}")
-    new_rays = [rational.mat_vec(matrix, v) for v in fan.rays]
-    return validate_fan(fan.dim, new_rays, fan.max_cones)
+    if rational.determinant(matrix) == 0:
+        raise FanValidationError(f"change_basis needs an invertible matrix, got {matrix!r}")
+    new_rays = tuple(rational.mat_vec(matrix, v) for v in fan.rays)
+    for v in new_rays:
+        if not rational.is_primitive(v):
+            raise NonPrimitiveRayError(f"ray {v} is zero or not primitive")
+    return Fan(fan.dim, new_rays, fan.max_cones)

@@ -92,7 +92,7 @@ def _render(obj, depth: int) -> str:
 def load_fan(path) -> Fan:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
         raise FanValidationError(f"cannot read fan file {path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -106,7 +106,7 @@ def save_fan(fan: Fan, path) -> None:
     text = dumps(fan_to_doc(fan))
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise FanError(f"cannot write fan file {path}: {exc}") from None
 
 

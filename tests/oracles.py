@@ -4,7 +4,11 @@
 solutions of row subsets, with no code in common with `lp.solve_system`.
 `int_det` (a Bareiss determinant of any size) and `rref` serve it.
 `contract_by_link_geometry` decides a blow-down by where the ray sits in
-its link, with no round trip through `star_subdivide`.
+its link, with no round trip through `star_subdivide`;
+`contract_by_round_trip` is `contract_ray` as it was before it built its
+fan directly: `validate_fan` on each candidate, then a star subdivision
+that must give back the input. `change_basis_by_validate_fan` runs the
+image rays and the same cones through `validate_fan`.
 `fraction_cramer` and `cones_containing_by_fraction_cramer` locate a point
 in the cones of a fan by Fraction coordinates from Cramer's rule, with no
 dual normals; `relation_by_fraction_cramer` and
@@ -21,10 +25,21 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from toricfans import rational, validate_fan
+from toricfans import rational, star_subdivide, validate_fan
 from toricfans.enumeration import EnumerationReport
-from toricfans.errors import FanValidationError, UnsupportedStarPatternError
-from toricfans.fan import Fan, canonical_key, interiors_overlap, is_complete, is_smooth
+from toricfans.errors import (
+    FanValidationError,
+    NotInSupportError,
+    UnsupportedStarPatternError,
+)
+from toricfans.fan import (
+    ConeTuple,
+    Fan,
+    canonical_key,
+    interiors_overlap,
+    is_complete,
+    is_smooth,
+)
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -249,6 +264,64 @@ def contract_by_link_geometry(fan, ray_index):
         [i - (i > ray_index) for i in cone] for cone in keep + replacement
     ]
     return validate_fan(3, new_rays, new_cones)
+
+
+def contract_by_round_trip(fan: Fan, ray_index: int) -> Fan:
+    """Remove a ray whose star has one of the two supported blow-down shapes.
+
+    Pattern P1: the link is a triangle; the three star cones collapse to the
+    cone on the link. Pattern P2: the link is a 4-cycle (x, a, y, b); the
+    four star cones collapse to (a, b, x) and (a, b, y) for a diagonal
+    (a, b), tried in index order. A candidate is returned only when it is a
+    valid fan and star subdivision along the removed ray gives back the
+    input exactly, which holds iff the ray is interior to the cone on the
+    triangle or to the 2-cone on the diagonal.
+    """
+    if type(ray_index) is not int or not 0 <= ray_index < len(fan.rays):
+        raise FanValidationError(f"no ray with index {ray_index!r}")
+    star = [cone for cone in fan.max_cones if ray_index in cone]
+    keep = [cone for cone in fan.max_cones if ray_index not in cone]
+    link_edges = [tuple(i for i in cone if i != ray_index) for cone in star]
+    vertices = sorted({i for e in link_edges for i in e})
+    degrees = {i: sum(i in e for e in link_edges) for i in vertices}
+    simple = len(set(link_edges)) == len(link_edges) and all(
+        d == 2 for d in degrees.values()
+    )
+
+    candidates: list[list[ConeTuple]]
+    if simple and len(star) == 3 and len(vertices) == 3:
+        candidates = [[tuple(vertices)]]
+        refusal = f"ray {ray_index} is not interior to the cone on its link"
+    elif simple and len(star) == 4 and len(vertices) == 4:
+        candidates = [
+            [tuple(sorted((a, b, x))) for x in vertices if x not in (a, b)]
+            for a, b in itertools.combinations(vertices, 2)
+            if (a, b) not in link_edges
+        ]
+        refusal = f"ray {ray_index} is not interior to a diagonal of its link"
+    else:
+        raise UnsupportedStarPatternError(
+            f"the star of ray {ray_index} is neither a triangle nor a 4-cycle"
+        )
+
+    removed = fan.rays[ray_index]
+    remap = {old: old - (old > ray_index) for old in range(len(fan.rays))}
+    new_rays = [v for i, v in enumerate(fan.rays) if i != ray_index]
+    for replacement in candidates:
+        new_cones = [tuple(remap[i] for i in cone) for cone in keep + replacement]
+        try:
+            out = validate_fan(fan.dim, new_rays, new_cones)
+            if canonical_key(star_subdivide(out, removed)) == canonical_key(fan):
+                return out
+        except (FanValidationError, NotInSupportError):
+            continue
+    raise UnsupportedStarPatternError(refusal)
+
+
+def change_basis_by_validate_fan(fan: Fan, matrix) -> Fan:
+    """The image of every ray under ``matrix``, with the same cones, through
+    the whole-fan `validate_fan`."""
+    return validate_fan(fan.dim, [rational.mat_vec(matrix, v) for v in fan.rays], fan.max_cones)
 
 
 def _seed_point(rays) -> tuple[int, int, int]:

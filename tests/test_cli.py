@@ -371,13 +371,26 @@ class TestRejectedInput:
             ["search", "{fan}", "--max-depth", "-1"],
             ["graph", "{fan}", "--max-depth=-1"],
             ["enumerate", "--catalog", "W7_5", "--expect-count", "-1"],
+            # a NUL byte in a path, which only an in-process caller can pass
+            ["walls", "{tmp}/a{nul}b"],
+            ["search", "{tmp}/a{nul}b"],
+            ["catalog", "W7_5", "--output", "{tmp}/a{nul}b"],
+            ["surgery", "{fan}", "--wall", "1,7", "--output", "{tmp}/a{nul}b"],
+            ["subdivide", "{fan}", "--ray=1,1,1", "--output", "{tmp}/a{nul}b"],
+            ["contract", "{fan}", "--ray", "4", "--output", "{tmp}/a{nul}b"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_exits_two_with_one_line(self, tmp_path, capsys, argv):
         fan = write_catalog_fan(tmp_path, "W7_5")
-        argv = [a.format(fan=fan, tmp=tmp_path) for a in argv]
+        argv = [a.format(fan=fan, tmp=tmp_path, nul="\0") for a in argv]
         assert_one_line_rejection(*run(capsys, *argv))
+
+    def test_nul_byte_in_the_fan_path_is_reported_as_invalid(self, tmp_path, capsys):
+        code, out, err = run(capsys, "check", f"{tmp_path}/a\0b")
+        assert code == 2
+        assert json.loads(out)["valid"] is False
+        assert len(err.splitlines()) == 1 and err.startswith("cannot read fan file ")
 
     @pytest.mark.parametrize("argv", [["check"], ["subdivide", "--ray=1,1,1"]])
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,8 +18,10 @@ from conftest import (
 )
 from oracles import (
     _in_open_2cone,
+    change_basis_by_validate_fan,
     cones_containing_by_fraction_cramer,
     contract_by_link_geometry,
+    contract_by_round_trip,
     feasible_by_basis_enumeration,
     relation_by_fraction_cramer,
     star_cones_by_fraction_cramer,
@@ -546,6 +548,19 @@ class TestContraction:
         with pytest.raises(UnsupportedStarPatternError):
             contract_ray(p3, 0)
 
+    def test_bipyramid_apexes_are_refused(self):
+        # each apex has the triangle link e1, e2, -e1-e2, whose three rays
+        # are coplanar: the cone on the link has a zero determinant
+        rays = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+        cones = [(i, j, apex) for i, j in ((0, 1), (0, 2), (1, 2)) for apex in (3, 4)]
+        fan = validate_fan(3, rays, cones)
+        for apex in (3, 4):
+            message = f"ray {apex} is not interior to the cone on its link"
+            for contract in (contract_ray, contract_by_round_trip, contract_by_link_geometry):
+                with pytest.raises(UnsupportedStarPatternError) as exc:
+                    contract(fan, apex)
+                assert str(exc.value) == message
+
 
 class TestCanonicalKey:
     def test_relabeling_invariance(self, p3):
@@ -567,6 +582,16 @@ class TestCanonicalKey:
         a = build("Z13pp", (2, 7, 4, 2))
         b = build("Z13pp", (2, 7, 4, 3))
         assert canonical_key(a) != canonical_key(b)
+
+
+_CHANGE_BASIS_FANS = {
+    "P3": validate_fan(3, P3_RAYS, P3_CONES),
+    "W7_5": build("W7_5"),
+    "Z2(1)": build("Z2", (1,)),
+    "Z13pp(2,7,4,2)": build("Z13pp", (2, 7, 4, 2)),
+    "Z5p(0)": build("Z5p", (0,)),
+    "W7_5 chain at 15 rays": blowup_chain("W7_5", (), 15),
+}
 
 
 class TestChangeOfBasis:
@@ -599,6 +624,33 @@ class TestChangeOfBasis:
     def test_malformed_matrix_is_rejected(self, matrix):
         with pytest.raises(FanValidationError, match="3x3 integer matrix"):
             change_basis(build("W7_5"), matrix)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(_CHANGE_BASIS_FANS)),
+        st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+    )
+    @example("W7_5", [0] * 9)
+    @example("W7_5", [1, 2, 3, 2, 4, 6, 0, 0, 1])
+    @example("W7_5", [1, 1, 0, 1, -1, 0, 0, 0, 1])
+    @example("Z2(1)", [0, 0, 1, 0, 1, 0, 1, 0, 0])
+    @example("W7_5 chain at 15 rays", [1, 1, 0, 0, 1, 0, 0, 0, 1])
+    def test_matches_validate_fan_on_the_image(self, name, entries):
+        fan = _CHANGE_BASIS_FANS[name]
+        matrix = [entries[k : k + 3] for k in (0, 3, 6)]
+        if rational.determinant(matrix) == 0:
+            with pytest.raises(FanValidationError, match="invertible matrix"):
+                change_basis(fan, matrix)
+            return
+
+        def outcome(move):
+            try:
+                return move(fan, matrix)
+            except FanValidationError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(change_basis) == outcome(change_basis_by_validate_fan)
+
 
 
 def _circuit_by_solve(fan, wall):
@@ -662,16 +714,23 @@ def test_in_open_2cone_matches_fraction_solve(coords, shape):
 
 
 def test_contract_ray_matches_link_geometry():
-    # every ray of a sample of the grid, both 15-ray chains and the 25 point
-    # and curve blow-ups of W7_5, against the position of the ray in its link
+    # every ray of a sample of the grid, both chains at 15 and 21 rays, the
+    # 25 point and curve blow-ups of W7_5 and the blow-down of Z2(0), against
+    # the position of the ray in its link and against the round trip through
+    # validate_fan and star_subdivide, result or refusal message alike
     w = build("W7_5")
     centres = list(w.max_cones) + [wall.rays for wall in walls(w)]
     fans = [build(fid, params) for fid, params in CATALOG_GRID[::5]]
-    fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
+    fans += [
+        blowup_chain(fid, params, n)
+        for fid, params in (("W7_5", ()), ("Z2", (1,)))
+        for n in (15, 21)
+    ]
     fans += [
         star_subdivide(w, [sum(w.rays[i][k] for i in c) for k in range(3)])
         for c in centres
     ]
+    fans.append(contract_ray(build("Z2", (0,)), 1))
     assert len(centres) == 25
 
     def outcome(contract, fan, k):
@@ -685,6 +744,7 @@ def test_contract_ray_matches_link_geometry():
     for fan in fans:
         for k in range(len(fan.rays)):
             want = outcome(contract_by_link_geometry, fan, k)
+            assert outcome(contract_by_round_trip, fan, k) == want
             assert outcome(contract_ray, fan, k) == want
             star = sum(k in cone for cone in fan.max_cones)
             branches[star, isinstance(want, tuple)] += 1

@@ -1,6 +1,6 @@
-"""Wall exchanges and star subdivisions build their fans from a local edit;
-`validate_fan` on the same rays and independently derived cones is the
-oracle for both."""
+"""Wall exchanges, star subdivisions and blow-downs build their fans from a
+local edit; `validate_fan` on the same rays and independently derived
+cones is the oracle for all three."""
 
 import math
 
@@ -8,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_GRID, blowup_chain
-from oracles import star_cones_by_fraction_cramer
+from oracles import (
+    contract_by_link_geometry,
+    contract_by_round_trip,
+    star_cones_by_fraction_cramer,
+)
 from toricfans import (
     build,
     canonical_key,
     classify_wall,
+    contract_ray,
     is_projective,
     perform_surgery,
     star_subdivide,
@@ -54,8 +59,16 @@ def _check_exchanges(fan):
 
 
 def _check_subdivision(fan, v):
+    """The subdivision at v against `validate_fan`, and the blow-down of v
+    against both contraction oracles; subdividing that blow-down at v gives
+    back the subdivision. The blow-down need not be ``fan``: when v is
+    interior to both diagonals of its link, the first in index order wins."""
     out = star_subdivide(fan, v)
     assert out == validate_fan(3, fan.rays + (v,), star_cones_by_fraction_cramer(fan, v))
+    down = contract_ray(out, len(fan.rays))
+    assert down == contract_by_round_trip(out, len(fan.rays))
+    assert down == contract_by_link_geometry(out, len(fan.rays))
+    assert star_subdivide(down, v) == out
 
 
 @settings(max_examples=40, deadline=None)

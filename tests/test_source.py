@@ -16,3 +16,30 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def _calls_by_function():
+    """``{(module, top-level function or class): names called inside}``
+    over the package; module-level statements are filed under None."""
+    calls = {}
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+            calls.setdefault((path.stem, getattr(top, "name", None)), set()).update(names)
+    return calls
+
+
+def test_only_input_goes_through_validate_fan():
+    # fan files and catalog builds are the only data from outside the
+    # program; every other fan is built directly from a valid one
+    sites = sorted(site for site, names in _calls_by_function().items() if "validate_fan" in names)
+    assert sites == [("catalog", "build"), ("fanio", "fan_from_doc")]
+
+
+def test_contract_ray_decides_without_a_round_trip():
+    called = _calls_by_function()["fan", "contract_ray"]
+    assert not called & {"validate_fan", "star_subdivide", "canonical_key"}
