@@ -12,13 +12,14 @@ step is forced.
 The search runs on bitsets (Python ints). A candidate's row of the
 compatibility matrix is the mask of the candidates whose interiors avoid
 its own, so the candidates still allowed are the AND of the chosen rows.
-One pass over the planes through two rays (`_planes`) builds the rows and
-finds the roots: two candidates are compatible iff such a plane has them on
-opposite closed sides, and the roots are the candidates that no plane puts
-on the side away from the seed. The unmatched walls are the XOR of the
-chosen cones' face masks, in which face (a, b) is bit ``a * n + b``: two
-compatible cones never lie on the same side of a shared face, so no face is
-in three chosen cones and odd parity means exactly one.
+One pass over the planes through two rays (`fan._planes`, which also
+finds the seed) builds the rows and finds the roots: two candidates are
+compatible iff such a plane has them on opposite closed sides, and the
+roots are the candidates that no plane puts on the side away from the
+seed. The unmatched walls are the XOR of the chosen cones' face masks, in
+which face (a, b) is bit ``a * n + b``: two compatible cones never lie on
+the same side of a shared face, so no face is in three chosen cones and
+odd parity means exactly one.
 
 A closed surface of pairwise compatible cones glues properly, so
 `validate_fan`'s pairwise gluing test is not run (a closed surface with
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 from . import rational
 from .errors import DegenerateRaysError
-from .fan import Fan, _is_int_list, canonical_key
+from .fan import Fan, _is_int_list, _planes, canonical_key
 
 
 @dataclass(frozen=True)
@@ -72,22 +73,6 @@ def unique_fan_condition(a: int, b: int, c: int, d: int) -> bool:
     return b > bound
 
 
-def _seed_point(rays) -> tuple[int, int, int]:
-    # A point on no plane spanned by two independent rays, so it is interior
-    # to exactly one maximal cone of any complete fan on these rays.
-    # Dependent pairs (opposite rays) span no plane and impose nothing.
-    normals = [
-        c
-        for i, j in itertools.combinations(range(len(rays)), 2)
-        if any(c := rational.cross3(rays[i], rays[j]))
-    ]
-    for t in itertools.count(1):
-        p = (1, t, t * t)
-        if all(rational.dot(nrm, p) != 0 for nrm in normals):
-            return p
-    raise AssertionError("unreachable")
-
-
 def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     """All smooth complete fans whose rays are exactly the given vectors."""
     if not isinstance(raw_rays, (list, tuple)) or not all(map(_is_int_list, raw_rays)):
@@ -110,7 +95,7 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
     ]
     k = len(candidates)
     cone_rays = [(1 << a) | (1 << b) | (1 << c) for a, b, c in candidates]
-    compatible, roots = _planes(rays, cone_rays, _seed_point(rays))
+    compatible, roots = _planes(rays, cone_rays)
     cone_faces = [0] * k
     by_face = [0] * (n * n)
     for idx, (a, b, c) in enumerate(candidates):
@@ -158,41 +143,3 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
         candidate_cone_count=k,
         search_nodes=nodes,
     )
-
-
-def _planes(rays, masks, seed) -> tuple[list[int], int]:
-    """The compatibility rows and the root mask of candidates with ray masks
-    ``masks``, from one pass over the planes through two non-opposite rays.
-
-    On each plane, ``above`` is the candidates with no ray strictly below
-    it and ``below`` those with no ray strictly above; each of ``above``
-    ORs the mask of ``below`` into its row, and the reverse. The plane
-    separates the two, and the planes include every extreme normal that
-    `fan.interiors_overlap` tries (the facet planes of both cones and the
-    nine planes through one ray of each), so the rows are exact.
-
-    Each plane drops from the roots the side that does not hold ``seed``,
-    which lies on no plane. A cone that misses the seed has a negative
-    coordinate against some ray c, and the facet plane opposite c has the
-    cone on its closed far side, so the roots are the cones holding it.
-    """
-    rows = [0] * len(masks)
-    roots = (1 << len(masks)) - 1
-    for i, j in itertools.combinations(range(len(rays)), 2):
-        h0, h1, h2 = rational.cross3(rays[i], rays[j])
-        if not (h0 or h1 or h2):
-            continue
-        signs = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in rays]
-        up = sum(1 << w for w, s in enumerate(signs) if s > 0)
-        down = sum(1 << w for w, s in enumerate(signs) if s < 0)
-        above = [x for x, m in enumerate(masks) if not m & down]
-        below = [x for x, m in enumerate(masks) if not m & up]
-        above_mask = sum(1 << x for x in above)
-        below_mask = sum(1 << x for x in below)
-        for x in above:
-            rows[x] |= below_mask
-        for x in below:
-            rows[x] |= above_mask
-        seed_above = h0 * seed[0] + h1 * seed[1] + h2 * seed[2] > 0
-        roots &= ~(below_mask if seed_above else above_mask)
-    return rows, roots

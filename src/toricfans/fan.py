@@ -17,12 +17,14 @@ Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported. Only
 input, fan files and catalog builds, goes through `validate_fan`; every
 other fan is built directly, by a construction known to keep it valid.
-Whether two cones glue properly or share interior points is decided by one
-exact integer test that looks for a separating plane among the cross
-products of their rays (`_separated`). Which maximal cones hold a point is
-decided in integers too, by the signs of its numerators against each
-cone's dual normals (`_cones_containing`); `primitive_relation` and
-`star_subdivide` both use it.
+Whether two cones glue properly is decided by one exact integer test that
+looks for a strictly separating plane among the cross products of their
+rays (`_properly_glued`). Whether cone interiors overlap is decided by one
+pass over the planes through two rays (`_planes`), which the enumerator
+runs on its whole ray set and `interiors_overlap` on two cones' own rays.
+Which maximal cones hold a point is decided in integers too, by the signs
+of its numerators against each cone's dual normals (`_cones_containing`);
+`primitive_relation` and `star_subdivide` both use it.
 """
 
 from __future__ import annotations
@@ -188,33 +190,9 @@ def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple
     """Whether two simplicial cones intersect exactly in their common face.
 
     Equivalent, by the separation lemma for convex polyhedral cones, to the
-    existence of a linear functional vanishing on the shared rays, strictly
-    positive on the other rays of one cone and strictly negative on those of
-    the other.
-    """
-    return _separated(rays, cone_a, cone_b, strict=True)
-
-
-def interiors_overlap(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
-    """Whether two full-dimensional simplicial cones share an interior point.
-
-    Two full-dimensional convex cones have disjoint interiors exactly when a
-    nonzero linear functional is >= 0 on one and <= 0 on the other.
-    """
-    for cone in (cone_a, cone_b):
-        if rational.determinant([rays[i] for i in cone]) == 0:
-            raise ValueError("cones must be full-dimensional")
-    return not _separated(rays, cone_a, cone_b, strict=False)
-
-
-def _separated(
-    rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple, strict: bool
-) -> bool:
-    """Whether a normal h vanishing on the shared rays has h @ w >= 0 on every
-    off ray w (those of ``cone_b`` negated): a nonzero one, or with
-    ``strict`` one with every h @ w > 0.
-
-    Such normals form a pointed cone (inside the dual of ``cone_a``) whose
+    existence of a normal h vanishing on the shared rays with h @ w > 0 on
+    every off ray w (those of ``cone_b`` negated). The normals with every
+    h @ w >= 0 form a pointed cone (inside the dual of ``cone_a``) whose
     extreme rays are +- cross products of two rays, one of them the first
     shared ray if any; a strict normal exists iff their sum is strict.
     """
@@ -240,12 +218,71 @@ def _separated(
             if any(v > 0 for v in values):
                 continue
             values = [-v for v in values]  # -h passes
-        if not strict:
-            return True
         total = [t + v for t, v in zip(total, values)]
         if all(t > 0 for t in total):
             return True
-    return strict and not off  # with no off rays strictness is vacuous
+    return not off  # with no off rays strictness is vacuous
+
+
+def interiors_overlap(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
+    """Whether two full-dimensional simplicial cones share an interior point,
+    decided by `_planes` on the six rays of the two cones."""
+    for cone in (cone_a, cone_b):
+        if rational.determinant([rays[i] for i in cone]) == 0:
+            raise ValueError("cones must be full-dimensional")
+    rows, _ = _planes([rays[i] for i in (*cone_a, *cone_b)], (0b111, 0b111000))
+    return not rows[0] & 0b10
+
+
+def _planes(rays: Sequence[IntVec], masks: Sequence[int]) -> tuple[list[int], int]:
+    """The compatibility rows and the root mask of the cones with ray masks
+    ``masks`` (bit i for ``rays[i]``), from one pass over the planes through
+    two non-opposite rays.
+
+    On each plane, ``above`` is the cones with no ray strictly below it and
+    ``below`` those with no ray strictly above; each of ``above`` ORs the
+    mask of ``below`` into its row, and the reverse. So bit y of row x says
+    that some plane has cones x and y on opposite closed sides, and that is
+    exact: two full-dimensional cones have disjoint interiors iff such a
+    plane exists. The normals of those planes form a pointed cone whose
+    extreme rays are the facet normals of both cones and the normals of the
+    planes through one ray of each, so each extreme one is the normal of a
+    plane through two rays. Opposite rays span no plane and give no normal.
+
+    The seed is (1, t, t^2) for the least t >= 1 on none of the planes (a
+    plane holds at most two such points). Each plane drops from the roots
+    the side that does not hold the seed. A cone that misses the seed has a
+    negative coordinate against some ray c, and the facet plane opposite c
+    has the cone on its closed far side, so the roots are the cones holding
+    the seed, and each complete fan on ``rays`` has exactly one of them.
+    """
+    normals = [
+        h
+        for i, j in itertools.combinations(range(len(rays)), 2)
+        if any(h := rational.cross3(rays[i], rays[j]))
+    ]
+    seed = next(
+        p
+        for p in ((1, t, t * t) for t in itertools.count(1))
+        if all(rational.dot(h, p) for h in normals)
+    )
+    rows = [0] * len(masks)
+    roots = (1 << len(masks)) - 1
+    for h0, h1, h2 in normals:
+        signs = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in rays]
+        up = sum(1 << w for w, s in enumerate(signs) if s > 0)
+        down = sum(1 << w for w, s in enumerate(signs) if s < 0)
+        above = [x for x, m in enumerate(masks) if not m & down]
+        below = [x for x, m in enumerate(masks) if not m & up]
+        above_mask = sum(1 << x for x in above)
+        below_mask = sum(1 << x for x in below)
+        for x in above:
+            rows[x] |= below_mask
+        for x in below:
+            rows[x] |= above_mask
+        seed_above = h0 * seed[0] + h1 * seed[1] + h2 * seed[2] > 0
+        roots &= ~(below_mask if seed_above else above_mask)
+    return rows, roots
 
 
 def is_smooth(fan: Fan) -> bool:

@@ -93,7 +93,7 @@ def load_fan(path) -> Fan:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: undecodable, or a NUL in the path
-        raise FanValidationError(f"cannot read fan file {path}: {exc}") from None
+        raise FanValidationError(f"cannot read fan file {_escaped(path)}: {exc}") from None
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -107,7 +107,13 @@ def save_fan(fan: Fan, path) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise FanError(f"cannot write fan file {path}: {exc}") from None
+        raise FanError(f"cannot write fan file {_escaped(path)}: {exc}") from None
+
+
+def _escaped(path) -> str:
+    """The path with each non-printable character backslash-escaped, so that
+    a message naming it stays one line; printable ones are kept as they are."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(path))
 
 
 def key_digest(key) -> str:

@@ -14,8 +14,12 @@ in the cones of a fan by Fraction coordinates from Cramer's rule, with no
 dual normals; `relation_by_fraction_cramer` and
 `star_cones_by_fraction_cramer` build a primitive relation and a star
 subdivision from that location.
+`interiors_overlap_by_separation` is `fan.interiors_overlap` as it was
+before it ran `fan._planes`: it looks for a separating plane among the
+cross products of the two cones' rays, one of them a shared ray if any.
 `enumerate_by_lists` is the enumeration backtracker as it was before it
-moved to bitsets, with its own `_seed_point`.
+moved to bitsets, with its own `_seed_point`, and its overlap matrix comes
+from `interiors_overlap_by_separation`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from toricfans.fan import (
     ConeTuple,
     Fan,
     canonical_key,
-    interiors_overlap,
     is_complete,
     is_smooth,
 )
@@ -324,6 +327,38 @@ def change_basis_by_validate_fan(fan: Fan, matrix) -> Fan:
     return validate_fan(fan.dim, [rational.mat_vec(matrix, v) for v in fan.rays], fan.max_cones)
 
 
+def interiors_overlap_by_separation(
+    rays: Sequence[tuple[int, ...]], cone_a: ConeTuple, cone_b: ConeTuple
+) -> bool:
+    """Whether two full-dimensional simplicial cones share an interior point.
+
+    Their interiors are disjoint iff a nonzero normal h vanishing on the
+    shared rays has h @ w >= 0 on every off ray w (those of ``cone_b``
+    negated). Such normals form a pointed cone whose extreme rays are +-
+    cross products of two rays, one of them the first shared ray if any.
+    """
+    shared = [rays[i] for i in cone_a if i in cone_b]
+    off = [rays[i] for i in cone_a if i not in cone_b]
+    off += [(-x, -y, -z) for x, y, z in (rays[i] for i in cone_b if i not in cone_a)]
+    if shared:
+        pairs = [(shared[0], w) for w in shared[1:] + off]
+    else:
+        pairs = itertools.combinations(off, 2)
+    for (u0, u1, u2), (v0, v1, v2) in pairs:
+        h0 = u1 * v2 - u2 * v1
+        h1 = u2 * v0 - u0 * v2
+        h2 = u0 * v1 - u1 * v0
+        if not (h0 or h1 or h2):
+            continue
+        if any(h0 * f0 + h1 * f1 + h2 * f2 for f0, f1, f2 in shared[1:]):
+            continue
+        values = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in off]
+        if any(v < 0 for v in values) and any(v > 0 for v in values):
+            continue
+        return False
+    return True
+
+
 def _seed_point(rays) -> tuple[int, int, int]:
     # A point on no plane spanned by two independent rays, so it is interior
     # to exactly one maximal cone of any complete fan on these rays.
@@ -342,9 +377,9 @@ def _seed_point(rays) -> tuple[int, int, int]:
 
 def enumerate_by_lists(raw_rays) -> EnumerationReport:
     """The list-based backtracker that `enumerate_smooth_complete_fans`
-    replaced, kept verbatim: a boolean compatibility matrix filled by
-    `interiors_overlap` alone, a face-count dict and `validate_fan` on every
-    closed surface. Both walk the same search tree, so their reports,
+    replaced, kept as it was: a boolean compatibility matrix filled by
+    `interiors_overlap_by_separation`, a face-count dict and `validate_fan`
+    on every closed surface. Both walk the same search tree, so their reports,
     `search_nodes` included, must be equal. Expects valid input."""
     rays = tuple(map(tuple, raw_rays))
     n = len(rays)
@@ -356,7 +391,7 @@ def enumerate_by_lists(raw_rays) -> EnumerationReport:
     k = len(candidates)
     compatible = [[True] * k for _ in range(k)]
     for x, y in itertools.combinations(range(k), 2):
-        ok = not interiors_overlap(rays, candidates[x], candidates[y])
+        ok = not interiors_overlap_by_separation(rays, candidates[x], candidates[y])
         compatible[x][y] = compatible[y][x] = ok
 
     seed = _seed_point(rays)

@@ -378,12 +378,18 @@ class TestRejectedInput:
             ["surgery", "{fan}", "--wall", "1,7", "--output", "{tmp}/a{nul}b"],
             ["subdivide", "{fan}", "--ray=1,1,1", "--output", "{tmp}/a{nul}b"],
             ["contract", "{fan}", "--ray", "4", "--output", "{tmp}/a{nul}b"],
+            # a line break in a path, which a shell passes as $'a\nb'
+            ["walls", "{tmp}/a{nl}b"],
+            ["search", "{tmp}/a{cr}b"],
+            ["catalog", "W7_5", "--output", "{tmp}/nodir/a{nl}b"],
+            ["subdivide", "{fan}", "--ray=1,1,1", "--output", "{tmp}/nodir/a{ls}b"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_exits_two_with_one_line(self, tmp_path, capsys, argv):
         fan = write_catalog_fan(tmp_path, "W7_5")
-        argv = [a.format(fan=fan, tmp=tmp_path, nul="\0") for a in argv]
+        chars = {"nul": "\0", "nl": "\n", "cr": "\r", "ls": "\u2028"}
+        argv = [a.format(fan=fan, tmp=tmp_path, **chars) for a in argv]
         assert_one_line_rejection(*run(capsys, *argv))
 
     def test_nul_byte_in_the_fan_path_is_reported_as_invalid(self, tmp_path, capsys):
@@ -391,6 +397,29 @@ class TestRejectedInput:
         assert code == 2
         assert json.loads(out)["valid"] is False
         assert len(err.splitlines()) == 1 and err.startswith("cannot read fan file ")
+
+    @pytest.mark.parametrize("char", ["\n", "\r", "\x85", "\u2028"])
+    def test_line_break_in_the_fan_path_is_escaped(self, tmp_path, capsys, char):
+        # check still reports the rejection on stdout, as {"valid": false, ...}
+        code, out, err = run(capsys, "check", f"{tmp_path}/a{char}b")
+        assert code == 2
+        assert json.loads(out)["valid"] is False
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"cannot read fan file {tmp_path}/a{repr(char)[1:-1]}b: ")
+
+    def test_ordinary_missing_paths_keep_their_messages(self, tmp_path, capsys):
+        path = tmp_path / "missing.fan"
+        assert run(capsys, "walls", str(path)) == (
+            2,
+            "",
+            f"cannot read fan file {path}: [Errno 2] No such file or directory: '{path}'\n",
+        )
+        path = tmp_path / "nodir" / "x.fan"
+        assert run(capsys, "catalog", "W7_5", "--output", str(path)) == (
+            2,
+            "",
+            f"cannot write fan file {path}: [Errno 2] No such file or directory: '{path}'\n",
+        )
 
     @pytest.mark.parametrize("argv", [["check"], ["subdivide", "--ray=1,1,1"]])
     @pytest.mark.parametrize(

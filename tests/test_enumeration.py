@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P3_CONES, P3_RAYS, blowup_chain, random_unimodular
-from oracles import _seed_point, enumerate_by_lists, fraction_cramer
+from oracles import (
+    _seed_point,
+    enumerate_by_lists,
+    fraction_cramer,
+    interiors_overlap_by_separation,
+)
 from perfbench.workloads import FAMILY_REPRESENTATIVES, instance_name
 from toricfans import (
     build,
@@ -19,9 +24,8 @@ from toricfans import (
     unique_fan_condition,
     validate_fan,
 )
-from toricfans.enumeration import _planes
 from toricfans.errors import DegenerateRaysError, FanValidationError
-from toricfans.fan import interiors_overlap
+from toricfans.fan import _planes, interiors_overlap
 from toricfans import enumeration, fanio, rational
 
 
@@ -153,16 +157,16 @@ REPORT_SETS = (
 
 def _planes_of(rays, candidates):
     masks = [sum(1 << i for i in cand) for cand in candidates]
-    return _planes(rays, masks, _seed_point(rays))
+    return _planes(rays, masks)
 
 
-def _rows_against_interiors_overlap(rays, candidates):
+def _rows_against_separation(rays, candidates):
     rows, _ = _planes_of(rays, candidates)
     for x, cx in enumerate(candidates):
         expected = sum(
             1 << y
             for y, cy in enumerate(candidates)
-            if y != x and not interiors_overlap(rays, cx, cy)
+            if y != x and not interiors_overlap_by_separation(rays, cx, cy)
         )
         assert rows[x] == expected, cx
 
@@ -196,13 +200,21 @@ _small_rays = st.lists(
 
 class TestBitsetBacktracker:
     """The bitset search against the list-based one it replaced
-    (`oracles.enumerate_by_lists`), its overlap matrix against
-    `interiors_overlap` on every candidate pair and its roots against the
-    Fraction coordinates of the seed point in every candidate."""
+    (`oracles.enumerate_by_lists`), its overlap matrix and
+    `fan.interiors_overlap` against `oracles.interiors_overlap_by_separation`
+    on every candidate pair, and its roots against the Fraction coordinates
+    of the seed point in every candidate."""
 
     @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_compatibility_rows_match_interiors_overlap(self, rays):
-        _rows_against_interiors_overlap(rays, _unimodular_triples(rays))
+        _rows_against_separation(rays, _unimodular_triples(rays))
+
+    @pytest.mark.parametrize("rays", REPORT_SETS)
+    def test_interiors_overlap_matches_the_separation_oracle(self, rays):
+        for cx, cy in itertools.combinations(_unimodular_triples(rays), 2):
+            assert interiors_overlap(rays, cx, cy) == interiors_overlap_by_separation(
+                rays, cx, cy
+            ), (cx, cy)
 
     @pytest.mark.parametrize("rays", REPORT_SETS)
     def test_roots_are_the_candidates_holding_the_seed(self, rays):
@@ -218,7 +230,7 @@ class TestBitsetBacktracker:
             for t in itertools.combinations(range(len(rays)), 3)
             if rational.determinant([rays[i] for i in t])
         ]
-        _rows_against_interiors_overlap(rays, candidates)
+        _rows_against_separation(rays, candidates)
         _roots_against_fraction_cramer(rays, candidates)
 
     @pytest.mark.parametrize("rays", REPORT_SETS)

@@ -43,3 +43,22 @@ def test_only_input_goes_through_validate_fan():
 def test_contract_ray_decides_without_a_round_trip():
     called = _calls_by_function()["fan", "contract_ray"]
     assert not called & {"validate_fan", "star_subdivide", "canonical_key"}
+
+
+def test_one_rule_decides_overlapping_interiors():
+    # `fan._planes` is the only overlap test: the enumerator and
+    # `interiors_overlap` both run it, and the gluing test has no
+    # non-strict mode
+    calls = _calls_by_function()
+    assert ("enumeration", "_planes") not in calls
+    assert ("enumeration", "_seed_point") not in calls
+    assert "_planes" in calls["fan", "interiors_overlap"]
+    assert "_planes" in calls["enumeration", "enumerate_smooth_complete_fans"]
+    fan_source = next(path for path in SOURCES if path.stem == "fan")
+    params = {
+        arg.arg
+        for node in ast.walk(ast.parse(fan_source.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.Lambda))
+        for arg in node.args.args + node.args.kwonlyargs + node.args.posonlyargs
+    }
+    assert params and "strict" not in params
