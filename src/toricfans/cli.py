@@ -2,15 +2,15 @@
 
 Reads and writes the JSON fan file format, prints one JSON document per
 command on standard output (DOT for ``graph --dot``), and encodes verdicts in
-the exit status: 0 success, 1 a requested assertion failed (``--expect-*``),
-2 malformed input, 3 an internal consistency check failed (such as a
-certificate that does not re-verify), which is a bug in this package. Every
-rejection, whether argparse's, a value converter's, an unwritable
-``--output`` or a command's own, is a `FanError` that `main` prints as one
-stderr line before returning 2. Ray indices inside documents are 0-based;
-arguments such as ``--wall 1,7`` and ``--ray 2`` use the 1-based v1..vN
-labels that also appear in ``label`` fields; a negative vector such as
-``--ray -1,-2,-2`` may follow a space.
+the exit status: 0 success, 1 a requested assertion failed (``--expect-*``)
+or ``search`` found no projective fan, 2 malformed input, 3 an internal
+consistency check failed (such as a certificate that does not re-verify),
+which is a bug in this package. Every rejection, whether argparse's, a
+value converter's, an unwritable ``--output`` or a command's own, is a
+`FanError` that `main` prints as one stderr line before returning 2. Ray
+indices inside documents are 0-based; arguments such as ``--wall 1,7`` and
+``--ray 2`` use the 1-based v1..vN labels that also appear in ``label``
+fields; a negative vector such as ``--ray -1,-2,-2`` may follow a space.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
             covered |= cone_rays[c]
         if covered != (1 << n) - 1:
             return
-        fan = Fan(3, rays, tuple(candidates[c] for c in sorted(chosen)))
+        fan = Fan(rays, tuple(candidates[c] for c in sorted(chosen)))
         found.setdefault(canonical_key(fan), fan)
 
     def extend(chosen: list[int], allowed: int, open_faces: int) -> None:

@@ -1,7 +1,7 @@
 """Simplicial lattice fans in R^3 in exact integer/rational arithmetic.
 
 A fan is stored as its list of primitive ray generators together with the
-maximal cones, each a sorted tuple of three ray indices; ``dim`` is always 3.
+maximal cones, each a sorted tuple of three ray indices; ``Fan.dim`` is 3.
 Fans are immutable; every operation is a pure function returning new
 values, so fans are safe to share between threads. A `Fan` only adds lazily
 built lookup tables (`faces`, `face_census`), which are the same whichever
@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import rational
 from .errors import (
@@ -68,7 +68,7 @@ class Fan:
     the dict; it takes no part in equality, hashing or repr.
     """
 
-    dim: int
+    dim: ClassVar[int] = 3
     rays: tuple[IntVec, ...]
     max_cones: tuple[ConeTuple, ...]
     circuits: dict[ConeTuple, tuple[int, ...]] | None = field(
@@ -178,7 +178,7 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
         if not _properly_glued(rays, ca, cb):
             raise OverlapError(ca, cb)
 
-    return Fan(dim, tuple(rays), tuple(cones))
+    return Fan(tuple(rays), tuple(cones))
 
 
 def _is_int_list(raw) -> bool:
@@ -455,7 +455,7 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
         for i, n in zip(cone, numerators):
             if n > 0:
                 cones_out.append(tuple(j for j in cone if j != i) + (new_index,))
-    return Fan(fan.dim, fan.rays + (v,), tuple(sorted(cones_out)))
+    return Fan(fan.rays + (v,), tuple(sorted(cones_out)))
 
 
 def contract_ray(fan: Fan, ray_index: int) -> Fan:
@@ -499,7 +499,7 @@ def contract_ray(fan: Fan, ray_index: int) -> Fan:
         if all(d * n > 0 if i in inside else n == 0 for i, n in zip(new[0], nums)):
             cones = [c for c in fan.max_cones if ray_index not in c] + new
             cones = sorted(tuple(i - (i > ray_index) for i in c) for c in cones)
-            return Fan(fan.dim, fan.rays[:ray_index] + fan.rays[ray_index + 1 :], tuple(cones))
+            return Fan(fan.rays[:ray_index] + fan.rays[ray_index + 1 :], tuple(cones))
     raise UnsupportedStarPatternError(refusal)
 
 
@@ -534,4 +534,4 @@ def change_basis(fan: Fan, matrix) -> Fan:
     for v in new_rays:
         if not rational.is_primitive(v):
             raise NonPrimitiveRayError(f"ray {v} is zero or not primitive")
-    return Fan(fan.dim, new_rays, fan.max_cones)
+    return Fan(new_rays, fan.max_cones)

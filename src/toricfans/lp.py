@@ -1,7 +1,7 @@
-"""Exact feasibility of rational linear-inequality systems, with certificates.
+"""Exact feasibility of integer linear-inequality systems, with certificates.
 
-Systems have the form ``A x >= b`` with an integer matrix ``A`` and a
-rational ``b``. The one decision procedure, `solve_system`, runs Phase I of
+Systems have the form ``A x >= b`` with an integer matrix ``A`` and an
+integer ``b``. The one decision procedure, `solve_system`, runs Phase I of
 the simplex method on the Farkas dual ``{y >= 0 : y @ A == 0, y @ b == 1}``.
 Its tableau holds integers over one common denominator and is updated by
 fraction-free (Edmonds/Bareiss) pivots, so no `Fraction` is built in the
@@ -11,14 +11,14 @@ basic ``y``: nonnegative Farkas multipliers with ``y @ A == 0`` and
 ``y @ b > 0``. A feasible one yields a rational point read off the simplex
 multipliers of the positive Phase I optimum. `verify_feasible` and
 `verify_farkas`, the package's only certificate checks, re-verify both by
-direct evaluation, independently of the solver; a witness entry that is
-not an ``int`` or a ``Fraction`` fails the check, and a witness of the
-wrong length raises ValueError. `verify_feasible` puts the point over one
-common denominator and compares integer row sums; `verify_farkas` still
-sums `Fraction` products directly, until the benchmark revision (ROADMAP
-item 1) lets its integer form land. `fm_feasible` is the same decision
-without the witness. Cone gluing and overlap in `fan` are decided by an
-exact 3-D separation test.
+direct evaluation, independently of the solver, and also accept a rational
+``b``; a witness entry that is not an ``int`` or a ``Fraction`` fails the
+check, and a witness of the wrong length raises ValueError.
+`verify_feasible` puts the point over one common denominator and compares
+integer row sums; `verify_farkas` still sums `Fraction` products directly,
+until the benchmark revision (ROADMAP item 1) lets its integer form land.
+`fm_feasible` is the same decision without the witness. Cone gluing and
+overlap in `fan` are decided by an exact 3-D separation test.
 """
 
 from __future__ import annotations
@@ -43,13 +43,13 @@ class FarkasCertificate:
 
 
 def solve_system(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> FeasiblePoint | FarkasCertificate:
     """Decide feasibility of {x : rows[i] @ x >= rhs[i] for all i}.
 
-    Every coefficient must be an ``int`` (not a bool), every row must have
-    the same length, and every right-hand side must be an ``int`` or a
-    ``Fraction``; anything else raises ValueError.
+    Every coefficient and every right-hand side must be an ``int`` (not a
+    bool) and every row must have the same length; anything else raises
+    ValueError.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -57,22 +57,19 @@ def solve_system(
         raise ValueError("solve_system needs equally long rows and one right-hand side per row")
     if any(type(c) is not int for row in rows for c in row):
         raise ValueError("solve_system needs int coefficients")
-    if any(type(r) is not int and not isinstance(r, Fraction) for r in rhs):
-        raise ValueError("solve_system needs int or Fraction right-hand sides")
-    scale = lcm(*(Fraction(r).denominator for r in rhs))
+    if any(type(r) is not int for r in rhs):
+        raise ValueError("solve_system needs int right-hand sides")
     # Constraint k < n is column k of `rows` (y @ rows == 0); constraint n is
-    # y @ (scale * rhs) == scale. Columns: y_0..y_{m-1}, then one artificial
-    # per constraint, then the right-hand side. Every entry is an integer
-    # over the common denominator `denom`, and the last row holds the
-    # reduced costs of the Phase I objective (the sum of the artificials).
+    # y @ rhs == 1. Columns: y_0..y_{m-1}, then one artificial per constraint,
+    # then the right-hand side. Every entry is an integer over the common
+    # denominator `denom`, and the last row holds the reduced costs of the
+    # Phase I objective (the sum of the artificials).
     tableau = [
         [row[k] for row in rows] + [int(k == j) for j in range(n + 1)] + [0]
         for k in range(n)
     ]
-    tableau.append(
-        [int(r * scale) for r in rhs] + [int(j == n) for j in range(n + 1)] + [scale]
-    )
-    tableau.append([-sum(t[j] for t in tableau) for j in range(m)] + [0] * (n + 1) + [-scale])
+    tableau.append(list(rhs) + [int(j == n) for j in range(n + 1)] + [1])
+    tableau.append([-sum(t[j] for t in tableau) for j in range(m)] + [0] * (n + 1) + [-1])
     cost = tableau[-1]
     basis = list(range(m, m + n + 1))
     denom = 1
@@ -113,10 +110,10 @@ def solve_system(
         return FarkasCertificate(tuple(y))
     # Simplex multipliers w_k = 1 - (reduced cost of artificial k), here
     # times denom. The y columns' reduced costs are >= 0, so row by row
-    # rows @ w[:n] + scale * w[n] * rhs <= 0, and the positive objective is
-    # scale * w[n]; hence x = -w[:n] / (scale * w[n]) is feasible.
+    # rows @ w[:n] + w[n] * rhs <= 0, and the positive objective is w[n];
+    # hence x = -w[:n] / w[n] is feasible.
     w = [denom - c for c in cost[m : m + n + 1]]
-    return FeasiblePoint(tuple(Fraction(-w[k], w[n] * scale) for k in range(n)))
+    return FeasiblePoint(tuple(Fraction(-w[k], w[n]) for k in range(n)))
 
 
 def fm_feasible(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> bool:

@@ -107,7 +107,9 @@ def _is_divisor(d, n: int) -> bool:
 
 def _dense(multipliers: dict, length: int) -> Optional[list]:
     """The multiplier vector of a sparse {row index: multiplier} dict, or
-    None when a key is not an int in range(length)."""
+    None when it is not a dict or a key is not an int in range(length)."""
+    if not isinstance(multipliers, dict):
+        return None
     dense = [0] * length
     for k, m in multipliers.items():
         if type(k) is not int or not 0 <= k < length:

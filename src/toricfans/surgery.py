@@ -109,7 +109,7 @@ def _exchange(fan: Fan, wall: Wall, cones: tuple[tuple[int, ...], ...]) -> Fan:
     c, d = wall.off_rays
     if any(determinant([fan.rays[i] for i in (c, d, k)]) == 0 for k in wall.rays):
         raise AssertionError(f"wall exchange at {wall.rays} made a degenerate cone")
-    return Fan(fan.dim, fan.rays, cones, fan.circuits)
+    return Fan(fan.rays, cones, fan.circuits)
 
 
 def find_wall(fan: Fan, ray_pair) -> Wall:

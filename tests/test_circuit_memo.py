@@ -31,7 +31,7 @@ SEARCHES = [
 
 
 def _memo_free(fan):
-    return Fan(fan.dim, fan.rays, fan.max_cones)
+    return Fan(fan.rays, fan.max_cones)
 
 
 @pytest.mark.parametrize("flops_only", [False, True], ids=["all-kinds", "flops-only"])

@@ -92,11 +92,12 @@ def test_homogeneous_scaling():
         ([[1, 0], [0, 1]], [1]),  # rhs shorter
         ([[1, 0]], [0.5]),
         ([[1, 0]], [True]),
+        ([[1, 0]], [Fraction(1, 2)]),
     ],
     ids=[
         "fraction-coefficient", "bool-coefficient", "float-coefficient",
         "short-second-row", "long-second-row", "rhs-too-long", "rhs-too-short",
-        "float-rhs", "bool-rhs",
+        "float-rhs", "bool-rhs", "fraction-rhs",
     ],
 )
 def test_malformed_systems_are_rejected(rows, rhs):
@@ -130,11 +131,21 @@ def _systems(draw):
     return rows, rhs
 
 
+def _solve_scaled(rows, rhs):
+    """`solve_system` on ``q * rows @ x >= q * rhs``, q the lcm of the rhs
+    denominators: an integer system with the same feasible points and the
+    same Farkas multipliers, so its witness also certifies the rational one."""
+    q = math.lcm(*(Fraction(r).denominator for r in rhs))
+    return solve_system(
+        [tuple(q * c for c in row) for row in rows], [int(q * r) for r in rhs]
+    )
+
+
 @settings(max_examples=500, deadline=None)
 @given(_systems())
 def test_solver_matches_basis_enumeration_with_verified_witnesses(system):
     rows, rhs = system
-    out = solve_system(rows, rhs)
+    out = _solve_scaled(rows, rhs)
     assert isinstance(out, FeasiblePoint) == feasible_by_basis_enumeration(rows, rhs)
     if isinstance(out, FeasiblePoint):
         assert verify_feasible(rows, rhs, out.x)
@@ -231,7 +242,7 @@ def _check_mutation(rows, rhs, out, kind, k):
 @given(_systems(), st.sampled_from(sorted(_MUTATIONS)), st.data())
 def test_verifiers_match_fraction_reference_on_mutated_witnesses(system, kind, data):
     rows, rhs = system
-    out = solve_system(rows, rhs)
+    out = _solve_scaled(rows, rhs)
     size = len(out.multipliers if isinstance(out, FarkasCertificate) else out.x)
     if size == 0:
         kind, k = "none", 0

@@ -357,6 +357,25 @@ def test_verifiers_match_reference_on_solver_and_mutated_certificates():
     assert checked > 500
 
 
+@pytest.mark.parametrize("shape", [list, tuple, str])
+def test_multipliers_that_are_not_a_dict_fail_verification(shape):
+    # the dense form of a valid witness, which the verifiers do not read
+    w = build("W7_5")
+    _, cert = is_projective(w)
+    witness = effective_ample_obstruction(w)
+    relation, nonneg = witness.relation_multipliers, witness.nonneg_multipliers
+
+    def dense(mult, size):
+        return "1" if shape is str else shape(mult.get(k, 0) for k in range(size))
+
+    farkas = dense(cert.farkas, len(walls(w)))
+    assert verify_certificate(w, ProjectivityCertificate(farkas=farkas)) is False
+    relation_dense = dense(relation, len(primitive_collections(w)))
+    assert verify_obstruction(w, ObstructionWitness(relation_dense, nonneg)) is False
+    nonneg_dense = dense(nonneg, len(w.rays))
+    assert verify_obstruction(w, ObstructionWitness(relation, nonneg_dense)) is False
+
+
 def test_effective_obstruction_scans_primitive_collections_once(monkeypatch):
     scans = []
 

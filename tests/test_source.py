@@ -1,7 +1,9 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import toricfans
+from toricfans.fan import Fan
 
 SOURCES = sorted(Path(toricfans.__file__).parent.glob("*.py"))
 
@@ -62,3 +64,24 @@ def test_one_rule_decides_overlapping_interiors():
         for arg in node.args.args + node.args.kwonlyargs + node.args.posonlyargs
     }
     assert params and "strict" not in params
+
+
+def test_fan_is_three_dimensional_by_type():
+    # `dim` is a class constant, not a field, and no constructor call in the
+    # package passes a dimension: a literal, a `dim` name or a `.dim` read
+    assert [f.name for f in dataclasses.fields(Fan)] == ["rays", "max_cones", "circuits"]
+    assert Fan.dim == 3
+    calls = [
+        node
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fan"
+    ]
+    args = [arg for call in calls for arg in call.args + [kw.value for kw in call.keywords]]
+    assert calls and not [
+        ast.unparse(arg)
+        for arg in args
+        if isinstance(arg, ast.Constant)
+        or (isinstance(arg, ast.Name) and arg.id == "dim")
+        or (isinstance(arg, ast.Attribute) and arg.attr == "dim")
+    ]
