@@ -304,15 +304,29 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's default store, except that an option given a second time is
+    rejected instead of silently replacing its first value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "may be given only once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that raises `FanError` instead of exiting.
 
     `add_subparsers` builds every subparser with this class, so a missing,
-    unknown or invalid argument anywhere reaches `main` as one message.
+    unknown, repeated or invalid argument anywhere reaches `main` as one
+    message.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)  # every argument without an action
         # argparse takes an argument that starts with "-" for an option unless
         # this private pattern (the same in CPython 3.6-3.13) matches it; it is
         # widened from numbers to integer lists like -1,-2,-2 or -1,0,0;0,1,0

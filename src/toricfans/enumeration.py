@@ -31,6 +31,24 @@ side of G, so A and A' cover a neighbourhood of r; B is neither, and its
 interior near r meets the interior of A or of A', against compatibility.
 The other checks of `validate_fan` hold for every candidate by
 construction.
+
+Different triangulations of one region of the sphere leave the search in
+the same state, so `extend` returns two facts about each subtree, its
+node count and ``reach``: the OR of the rays its closed surfaces add, plus
+bit n when it holds a closed surface at all. A node with two or more
+options stores both under its open-face mask alone; a forced chain is not
+stored, and a revisit walks it down to the next branching node. That key
+is exact. The chosen cones have disjoint interiors, so mod 2 their sum is
+the indicator of their union R, and the open faces' arcs sum to R's
+boundary. On the sphere a 2-chain is fixed by its boundary up to adding
+the whole sphere, and R holds the seed, so the open faces fix R; a
+candidate is allowed iff its interior misses R, so they fix the allowed
+mask and with it the subtree. A revisit returns the stored pair unless the
+rays chosen so far OR ``reach`` is every ray plus bit n: then a fan on
+every ray may lie below this prefix, and the subtree is walked again (its
+branching nodes hit the memo). ``reach`` over-approximates each fan's
+rays, so every fan's leaf is still reached, once, and ``search_nodes``
+counts the same tree as an unmemoized walk.
 """
 
 from __future__ import annotations
@@ -104,37 +122,46 @@ def enumerate_smooth_complete_fans(raw_rays) -> EnumerationReport:
             by_face[face] |= 1 << idx
 
     found: dict[tuple, Fan] = {}
-    nodes = 0
+    memo: dict[int, int] = {}
+    every = (1 << n + 1) - 1  # bits below n: every ray; bit n: "holds a closed surface"
 
-    def record(chosen: list[int]) -> None:
-        # Candidates are distinct unimodular triples and a closed surface
-        # glues properly (module docstring), so only ray coverage is left.
-        covered = 0
-        for c in chosen:
-            covered |= cone_rays[c]
-        if covered != (1 << n) - 1:
-            return
-        fan = Fan(rays, tuple(candidates[c] for c in sorted(chosen)))
-        found.setdefault(canonical_key(fan), fan)
-
-    def extend(chosen: list[int], allowed: int, open_faces: int) -> None:
-        nonlocal nodes
-        nodes += 1
+    def extend(chosen: list[int], covered: int, allowed: int, open_faces: int) -> tuple[int, int]:
+        # (nodes in this subtree, its reach: see the module docstring)
         if not open_faces:
-            record(chosen)
-            return
+            # Candidates are distinct unimodular triples and a closed surface
+            # glues properly (module docstring), so only ray coverage is left.
+            if covered == every >> 1:
+                fan = Fan(rays, tuple(candidates[c] for c in sorted(chosen)))
+                found.setdefault(canonical_key(fan), fan)
+            return 1, 1 << n
         face = (open_faces & -open_faces).bit_length() - 1
         options = by_face[face] & allowed
+        branching = options & options - 1
+        if branching and (stored := memo.get(open_faces)) and covered | stored & every != every:
+            return stored >> n + 1, stored & every
+        count, reach = 1, 0
         while options:
             low = options & -options
             options ^= low
             cand = low.bit_length() - 1
             chosen.append(cand)
-            extend(chosen, allowed & compatible[cand], open_faces ^ cone_faces[cand])
+            sub, sub_reach = extend(
+                chosen,
+                covered | cone_rays[cand],
+                allowed & compatible[cand],
+                open_faces ^ cone_faces[cand],
+            )
             chosen.pop()
+            count += sub
+            if sub_reach:
+                reach |= sub_reach | cone_rays[cand]
+        if branching:
+            memo[open_faces] = count << n + 1 | reach
+        return count, reach
 
+    nodes = 0
     for root in (x for x in range(k) if roots >> x & 1):
-        extend([root], compatible[root], cone_faces[root])
+        nodes += extend([root], cone_rays[root], compatible[root], cone_faces[root])[0]
 
     fans = tuple(found[key] for key in sorted(found))
     return EnumerationReport(

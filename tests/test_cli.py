@@ -458,6 +458,39 @@ class TestRejectedInput:
         )
         assert cli.build_parser()._negative_number_matcher.match("-1,0,0;0,1,0")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{fan}", "--expect-projective", "true", "--expect-projective", "false"],
+            ["search", "{fan}", "--max-depth", "1", "--max-depth=2"],
+            ["graph", "{fan}", "--max-depth", "0", "--max-depth", "1"],
+            ["surgery", "{fan}", "--wall", "1,7", "--wall", "1,7"],
+            ["subdivide", "{fan}", "--ray=1,1,1", "--ray", "-1,-1,0"],
+            ["contract", "{fan}", "--ray", "4", "--ray", "4"],
+            ["enumerate", "--catalog", "Z2", "--catalog", "W7_5"],
+            ["enumerate", "--rays", "{fan}", "--rays", "{fan}"],
+            ["enumerate", "--catalog", "Z2", "--params", "a=1", "--params", "a=2"],
+            ["catalog", "Z2", "--params", "a=1", "--params", "a=2"],
+            ["catalog", "W7_5", "--output", "{tmp}/a.fan", "--output", "{tmp}/b.fan"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_an_option_given_twice_is_rejected(self, tmp_path, capsys, argv):
+        fan = write_catalog_fan(tmp_path, "W7_5")
+        argv = [a.format(fan=fan, tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert_one_line_rejection(code, out, err)
+        option = next(a for a in reversed(argv) if a.startswith("--")).partition("=")[0]
+        assert err == f"toricfans {argv[0]}: argument {option}: may be given only once\n"
+        assert not (tmp_path / "a.fan").exists()
+
+    def test_a_repeated_flag_is_the_same_as_one(self, tmp_path, capsys):
+        fan = str(write_catalog_fan(tmp_path, "W7_5"))
+        once = run(capsys, "check", fan, "--nef", "--certificate")
+        assert once[0] == 0
+        assert run(capsys, "check", fan, "--nef", "--nef", "--certificate", "--certificate") == once
+        assert run(capsys, "graph", fan, "--dot", "--dot") == run(capsys, "graph", fan, "--dot")
+
 
 class TestReports:
     def test_collections_and_relations(self, tmp_path, capsys):

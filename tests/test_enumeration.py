@@ -1,11 +1,12 @@
 import itertools
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import P3_CONES, P3_RAYS, blowup_chain, random_unimodular
+from conftest import CATALOG_INSTANCES, P3_CONES, P3_RAYS, blowup_chain, random_unimodular
 from oracles import (
     _seed_point,
     enumerate_by_lists,
@@ -265,6 +266,116 @@ class TestBitsetBacktracker:
             # validate_fan runs the pairwise gluing test the enumerator omits
             assert fan == validate_fan(3, rays, fan.max_cones)
             assert is_complete(fan) and is_smooth(fan)
+
+
+def _open_face_walk(rays, candidates):
+    """Walk the unmemoized bitset search tree over ``candidates``, failing on
+    an open-face mask met with two different allowed masks; returns the
+    number of nodes."""
+    n = len(rays)
+    compatible, roots = _planes(rays, [sum(1 << i for i in c) for c in candidates])
+    cone_faces = [
+        sum(1 << a * n + b for a, b in itertools.combinations(c, 2)) for c in candidates
+    ]
+    by_face: dict[int, int] = {}
+    for idx, faces in enumerate(cone_faces):
+        for face in range(n * n):
+            if faces >> face & 1:
+                by_face[face] = by_face.get(face, 0) | 1 << idx
+    seen: dict[int, int] = {}
+    nodes = 0
+
+    def walk(allowed, open_faces):
+        nonlocal nodes
+        nodes += 1
+        assert seen.setdefault(open_faces, allowed) == allowed, bin(open_faces)
+        if not open_faces:
+            return
+        face = (open_faces & -open_faces).bit_length() - 1
+        options = by_face.get(face, 0) & allowed
+        for cand in range(len(candidates)):
+            if options >> cand & 1:
+                walk(allowed & compatible[cand], open_faces ^ cone_faces[cand])
+
+    for root in range(len(candidates)):
+        if roots >> root & 1:
+            walk(compatible[root], cone_faces[root])
+    return nodes
+
+
+@st.composite
+def _blowup_chains(draw):
+    fid, params = draw(st.sampled_from(CATALOG_INSTANCES))
+    return blowup_chain(fid, params, draw(st.integers(9, 12)), draw(st.integers(0, 999))).rays
+
+
+def _extend_calls(rays):
+    """`search_nodes` and the number of calls of the enumerator's inner
+    recursive function ``extend``, counted by its code object."""
+    code = next(
+        c
+        for c in enumerate_smooth_complete_fans.__code__.co_consts
+        if getattr(c, "co_name", None) == "extend"
+    )
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = enumerate_smooth_complete_fans(rays)
+    finally:
+        sys.setprofile(previous)
+    return report.search_nodes, calls
+
+
+class TestSubtreeMemo:
+    """The enumerator stores each branching node's subtree under its open-face
+    mask alone; these tests check that the mask fixes the allowed candidates,
+    that the memo skips most of the tree, and that no fan is lost."""
+
+    @pytest.mark.parametrize("rays", REPORT_SETS)
+    def test_open_faces_determine_the_allowed_candidates(self, rays):
+        nodes = _open_face_walk(rays, _unimodular_triples(rays))
+        assert nodes == enumerate_smooth_complete_fans(rays).search_nodes
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_rays)
+    def test_open_faces_determine_the_allowed_candidates_on_random_rays(self, rays):
+        # every nondegenerate triple as a candidate, so the complete
+        # simplicial fans are searched too, over coplanar and opposite rays
+        _open_face_walk(
+            rays,
+            [
+                t
+                for t in itertools.combinations(range(len(rays)), 3)
+                if rational.determinant([rays[i] for i in t])
+            ],
+        )
+
+    def test_memo_skips_most_of_the_tree(self):
+        nodes, calls = _extend_calls(blowup_chain("W7_5", (), 17).rays)
+        assert nodes == 130_273
+        assert calls < nodes // 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_rays)
+    def test_report_matches_the_list_backtracker_on_random_rays(self, rays):
+        assume(any(rational.determinant(t) for t in itertools.combinations(rays, 3)))
+        doc = fanio.enumeration_report_to_doc(enumerate_smooth_complete_fans(rays))
+        assert doc == fanio.enumeration_report_to_doc(enumerate_by_lists(rays))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_blowup_chains())
+    def test_report_matches_the_list_backtracker_on_blowup_chains(self, rays):
+        # most of these sets revisit a stored subtree that can still finish a
+        # fan, so the subtree is walked again
+        doc = fanio.enumeration_report_to_doc(enumerate_smooth_complete_fans(rays))
+        assert doc == fanio.enumeration_report_to_doc(enumerate_by_lists(rays))
 
 
 class TestUniqueFanCondition:
