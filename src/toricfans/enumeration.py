@@ -21,16 +21,10 @@ which face (a, b) is bit ``a * n + b``: two compatible cones never lie on
 the same side of a shared face, so no face is in three chosen cones and
 odd parity means exactly one.
 
-A closed surface of pairwise compatible cones glues properly, so
-`validate_fan`'s pairwise gluing test is not run (a closed surface with
-disjoint interiors tiles space face to face; De Loera, Rambau & Santos,
-*Triangulations*, 2010). If chosen cones A and B met in more than a common
-face, a ray r of one, say B, would lie in the relative interior of A or of
-a 2-face G of A. G lies in exactly one other chosen cone A', on the far
-side of G, so A and A' cover a neighbourhood of r; B is neither, and its
-interior near r meets the interior of A or of A', against compatibility.
-The other checks of `validate_fan` hold for every candidate by
-construction.
+A closed surface of pairwise compatible cones has disjoint interiors, so it
+glues face to face (the `fan` module docstring proves it) and
+`validate_fan` is not run on it; its other checks hold for every candidate
+by construction.
 
 Different triangulations of one region of the sphere leave the search in
 the same state, so `extend` returns two facts about each subtree, its

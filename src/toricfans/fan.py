@@ -17,11 +17,31 @@ Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported. Only
 input, fan files and catalog builds, goes through `validate_fan`; every
 other fan is built directly, by a construction known to keep it valid.
-Whether two cones glue properly is decided by one exact integer test that
-looks for a strictly separating plane among the cross products of their
-rays (`_properly_glued`). Whether cone interiors overlap is decided by one
-pass over the planes through two rays (`_planes`), which the enumerator
-runs on its whole ray set and `interiors_overlap` on two cones' own rays.
+
+`validate_fan` decides a closed fan locally (`_tiles`). The fan is valid
+when (a) every 2-face lies in exactly two cones, (b) across every wall the
+two off rays lie on opposite sides of the wall's plane and (c) exactly one
+cone holds the seed, a point on no face plane (`_seed`); every complete fan
+meets all three. Why that suffices: orient each cone so that its
+determinant is positive. By (b) the two cones on a wall induce opposite
+orientations on it, so the cones form a closed, consistently oriented
+surface whose radial map to the sphere has a degree. A point that moves
+off the rays across walls leaves one cone of each wall it crosses and
+enters the other, so every point on no face plane lies in the same number
+of cones, and by (c) that number is 1. So the interiors are disjoint and
+cover R^3. A closed surface of cones with disjoint interiors glues face to
+face (De Loera, Rambau & Santos, *Triangulations*, 2010): if cones A and B
+met in more than a common face, a ray r of one, say B, would lie in the
+relative interior of A or of a 2-face G of A; G lies in exactly one other
+cone A', on the far side of G, so A and A' cover a neighbourhood of r, B
+is neither, and its interior near r meets the interior of A or of A'. Any
+other fan, such as one with a boundary face, goes through the pairwise
+scan, which names the first pair in cone order that does not glue; an
+exact integer test decides each pair by looking for a strictly separating
+plane among the cross products of their rays (`_properly_glued`). Whether
+cone interiors overlap is decided by one pass over the planes through two
+rays (`_planes`), which the enumerator runs on its whole ray set and
+`interiors_overlap` on two cones' own rays.
 Which maximal cones hold a point is decided in integers too, by the signs
 of its numerators against each cone's dual normals (`_cones_containing`);
 `primitive_relation` and `star_subdivide` both use it.
@@ -126,10 +146,26 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     Only ``dim == 3`` is accepted. ``raw_rays``, ``raw_cones`` and each ray
     and cone must be lists or tuples, and every coordinate and ray index an
     ``int``: bools, floats and strings are rejected, not converted. All
-    geometric checks (independence, pairwise proper gluing) run in exact
-    integer arithmetic. Cones are stored sorted, the cone list sorted
-    lexicographically.
+    geometric checks run in exact integer arithmetic. Cones are stored
+    sorted, the cone list sorted lexicographically.
+
+    After the input checks the local test `_tiles` accepts a closed fan
+    whose walls each have their off rays on opposite sides and whose seed
+    lies in one cone; the module docstring proves such a fan valid. Any
+    other fan goes through the pairwise scan, which raises `OverlapError`
+    for the first pair of cones, in cone order, that does not glue.
     """
+    rays, cones = _checked_input(dim, raw_rays, raw_cones)
+    if not _tiles(rays, cones):
+        for ca, cb in itertools.combinations(cones, 2):
+            if not _properly_glued(rays, ca, cb):
+                raise OverlapError(ca, cb)
+    return Fan(rays, cones)
+
+
+def _checked_input(dim: int, raw_rays, raw_cones):
+    """Every check of `validate_fan` that comes before gluing; returns the
+    rays and the sorted cones as tuples."""
     if not isinstance(dim, int) or dim != 3:
         raise FanValidationError(f"dimension must be 3, got {dim!r}")
     for name, raw in (("rays", raw_rays), ("max_cones", raw_cones)):
@@ -174,11 +210,7 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     if missing:
         raise UnusedRayError(f"rays {missing} appear in no maximal cone")
 
-    for ca, cb in itertools.combinations(cones, 2):
-        if not _properly_glued(rays, ca, cb):
-            raise OverlapError(ca, cb)
-
-    return Fan(tuple(rays), tuple(cones))
+    return tuple(rays), tuple(cones)
 
 
 def _is_int_list(raw) -> bool:
@@ -224,6 +256,39 @@ def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple
     return not off  # with no off rays strictness is vacuous
 
 
+def _tiles(rays: tuple[IntVec, ...], cones: tuple[ConeTuple, ...]) -> bool:
+    """The local test of `validate_fan` on cones with nonzero determinants:
+    (a) every 2-face lies in exactly two cones, (b) the two off rays of
+    every wall have opposite signs against the cross product of its rays,
+    and (c) exactly one cone holds the `_seed` of the face planes. True
+    means the cones tile R^3 face to face (module docstring); False decides
+    nothing."""
+    off_rays: dict[ConeTuple, list[int]] = {}
+    for a, b, c in cones:
+        for face, off in (((a, b), c), ((a, c), b), ((b, c), a)):
+            off_rays.setdefault(face, []).append(off)
+    normals = []
+    for (a, b), offs in off_rays.items():
+        if len(offs) != 2:
+            return False
+        h = rational.cross3(rays[a], rays[b])
+        if rational.dot(h, rays[offs[0]]) * rational.dot(h, rays[offs[1]]) > 0:
+            return False
+        normals.append(h)
+    holders = _cones_containing(Fan(rays, cones), _seed(normals))
+    return len(list(holders)) == 1
+
+
+def _seed(normals: Sequence[IntVec]) -> IntVec:
+    """The point (1, t, t^2) for the least t >= 1 on none of the planes with
+    these nonzero normals; a plane holds at most two such points."""
+    return next(
+        p
+        for p in ((1, t, t * t) for t in itertools.count(1))
+        if all(rational.dot(h, p) for h in normals)
+    )
+
+
 def interiors_overlap(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
     """Whether two full-dimensional simplicial cones share an interior point,
     decided by `_planes` on the six rays of the two cones."""
@@ -249,23 +314,19 @@ def _planes(rays: Sequence[IntVec], masks: Sequence[int]) -> tuple[list[int], in
     planes through one ray of each, so each extreme one is the normal of a
     plane through two rays. Opposite rays span no plane and give no normal.
 
-    The seed is (1, t, t^2) for the least t >= 1 on none of the planes (a
-    plane holds at most two such points). Each plane drops from the roots
-    the side that does not hold the seed. A cone that misses the seed has a
-    negative coordinate against some ray c, and the facet plane opposite c
-    has the cone on its closed far side, so the roots are the cones holding
-    the seed, and each complete fan on ``rays`` has exactly one of them.
+    The seed is the `_seed` of these planes. Each plane drops from the
+    roots the side that does not hold the seed. A cone that misses the seed
+    has a negative coordinate against some ray c, and the facet plane
+    opposite c has the cone on its closed far side, so the roots are the
+    cones holding the seed, and each complete fan on ``rays`` has exactly
+    one of them.
     """
     normals = [
         h
         for i, j in itertools.combinations(range(len(rays)), 2)
         if any(h := rational.cross3(rays[i], rays[j]))
     ]
-    seed = next(
-        p
-        for p in ((1, t, t * t) for t in itertools.count(1))
-        if all(rational.dot(h, p) for h in normals)
-    )
+    seed = _seed(normals)
     rows = [0] * len(masks)
     roots = (1 << len(masks)) - 1
     for h0, h1, h2 in normals:

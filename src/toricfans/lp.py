@@ -17,8 +17,10 @@ check, and a witness of the wrong length raises ValueError.
 `verify_feasible` puts the point over one common denominator and compares
 integer row sums; `verify_farkas` still sums `Fraction` products directly,
 until the benchmark revision (ROADMAP item 1) lets its integer form land.
-`fm_feasible` is the same decision without the witness. Cone gluing and
-overlap in `fan` are decided by an exact 3-D separation test.
+`fm_feasible` is the same decision without the witness. No LP decides cone
+gluing or overlap in `fan`: `validate_fan` decides a closed fan by a local
+test of its walls and one seed point and any other by a pairwise 3-D
+separation test, and `_planes` decides overlapping interiors.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ cross products of the two cones' rays, one of them a shared ray if any.
 `enumerate_by_lists` is the enumeration backtracker as it was before it
 moved to bitsets, with its own `_seed_point`, and its overlap matrix comes
 from `interiors_overlap_by_separation`.
+`validate_by_pairwise_scan` is `validate_fan` as it was before its local
+test: the strict separation test on every pair of cones.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ from toricfans.enumeration import EnumerationReport
 from toricfans.errors import (
     FanValidationError,
     NotInSupportError,
+    OverlapError,
     UnsupportedStarPatternError,
 )
 from toricfans.fan import (
     ConeTuple,
     Fan,
+    _checked_input,
+    _properly_glued,
     canonical_key,
     is_complete,
     is_smooth,
@@ -325,6 +330,18 @@ def change_basis_by_validate_fan(fan: Fan, matrix) -> Fan:
     """The image of every ray under ``matrix``, with the same cones, through
     the whole-fan `validate_fan`."""
     return validate_fan(fan.dim, [rational.mat_vec(matrix, v) for v in fan.rays], fan.max_cones)
+
+
+def validate_by_pairwise_scan(dim, raw_rays, raw_cones) -> Fan:
+    """`validate_fan`'s input checks, then `_properly_glued` on every pair of
+    cones, raising `OverlapError` for the first pair in cone order that does
+    not glue. The gluing test itself is checked against two LP oracles in
+    `test_fan`; this scan shares no code with `fan._tiles`."""
+    rays, cones = _checked_input(dim, raw_rays, raw_cones)
+    for ca, cb in itertools.combinations(cones, 2):
+        if not _properly_glued(rays, ca, cb):
+            raise OverlapError(ca, cb)
+    return Fan(rays, cones)
 
 
 def interiors_overlap_by_separation(

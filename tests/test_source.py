@@ -85,3 +85,35 @@ def test_fan_is_three_dimensional_by_type():
         or (isinstance(arg, ast.Name) and arg.id == "dim")
         or (isinstance(arg, ast.Attribute) and arg.attr == "dim")
     ]
+
+
+def _builds_moment_point(tree) -> bool:
+    """Whether the tree builds a point (1, t, f(t)) with f(t) an expression
+    in t, such as t * t: a scan along the moment curve."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3:
+            one, t, square = node.elts
+            if (
+                isinstance(one, ast.Constant)
+                and one.value == 1
+                and isinstance(t, ast.Name)
+                and isinstance(square, ast.BinOp)
+                and any(isinstance(n, ast.Name) and n.id == t.id for n in ast.walk(square))
+            ):
+                return True
+    return False
+
+
+def test_one_seed_search():
+    # the overlap pass and the local validation test take their generic
+    # point from `fan._seed`, the only function that scans (1, t, t^2)
+    calls = _calls_by_function()
+    assert "_seed" in calls["fan", "_planes"]
+    assert "_seed" in calls["fan", "_tiles"]
+    scanners = [
+        (path.stem, getattr(top, "name", None))
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if _builds_moment_point(top)
+    ]
+    assert scanners == [("fan", "_seed")]
