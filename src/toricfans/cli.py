@@ -26,12 +26,13 @@ from . import catalog, fanio
 from .enumeration import enumerate_smooth_complete_fans
 from .errors import FanError
 from .fan import (
+    _relation,
+    _require_smooth,
     contract_ray,
     is_complete,
     is_smooth,
     picard_number,
     primitive_collections,
-    primitive_relation,
     star_subdivide,
     walls,
 )
@@ -167,9 +168,12 @@ def cmd_collections(args) -> int:
 
 def cmd_relations(args) -> int:
     fan = fanio.load_fan(args.fanfile)
+    collections = primitive_collections(fan)
+    if collections:  # a fan without collections lists none, smooth or not
+        _require_smooth(fan)
     relations = []
-    for col in primitive_collections(fan):
-        rel = primitive_relation(fan, col)
+    for col in collections:
+        rel = _relation(fan, col)
         relations.append(
             {
                 "collection": list(rel.collection),

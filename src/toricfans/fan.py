@@ -44,7 +44,7 @@ rays (`_planes`), which the enumerator runs on its whole ray set and
 `interiors_overlap` on two cones' own rays.
 Which maximal cones hold a point is decided in integers too, by the signs
 of its numerators against each cone's dual normals (`_cones_containing`);
-`primitive_relation` and `star_subdivide` both use it.
+primitive relations (`_relation`) and `star_subdivide` both use it.
 """
 
 from __future__ import annotations
@@ -426,15 +426,33 @@ def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:
 
     Ordered by (size, lexicographic). Every proper subset of a minimal
     non-face is a face, and a face of a simplicial 3-fan has at most 3 rays,
-    so only subsets of 2 to 4 rays are scanned.
+    so the collections are read off the edge graph (the 2-faces, the keys of
+    `face_census`): the pairs of rays that are not an edge, the triangles of
+    the graph that are not maximal cones, and the 4-sets whose four triples
+    are all maximal cones. Those four cones form a closed surface, which no
+    further cone can meet without overlapping them, so only the fan of P3
+    has such a set; each is found from its least three rays' cone.
     """
-    n = len(fan.rays)
-    return tuple(
-        col
-        for size in range(2, min(n, 4) + 1)
-        for col in itertools.combinations(range(n), size)
-        if _is_primitive(fan, col)
+    edges = fan.face_census
+    near: list[set[int]] = [set() for _ in fan.rays]
+    for a, b in edges:
+        near[a].add(b)
+        near[b].add(a)
+    cones = set(fan.max_cones)
+    pairs = [e for e in itertools.combinations(range(len(fan.rays)), 2) if e not in edges]
+    triangles = [
+        (a, b, c)
+        for a, b in sorted(edges)
+        for c in sorted(near[a] & near[b])
+        if c > b and (a, b, c) not in cones
+    ]
+    quads = sorted(
+        (a, b, c, d)
+        for a, b, c in fan.max_cones
+        for d in near[a] & near[b] & near[c]
+        if d > c and {(a, b, d), (a, c, d), (b, c, d)} <= cones
     )
+    return (*pairs, *triangles, *quads)
 
 
 def _is_primitive(fan: Fan, col: ConeTuple) -> bool:
@@ -453,15 +471,30 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
 
     The sum of the collection's rays lies in the relative interior of a unique
     cone; on smooth fans the resulting coefficients are positive integers. A
-    zero sum is reported as a fiber-type relation with empty target.
+    zero sum is reported as a fiber-type relation with empty target. The
+    argument, the fan's smoothness and the collection are checked here;
+    `_relation` does the rest.
     """
     if not _is_int_list(collection):
         raise FanValidationError(f"collection {collection!r} is not a list of ray indices")
     col = tuple(sorted(collection))
-    if not is_smooth(fan):
-        raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
+    _require_smooth(fan)
     if not _is_primitive(fan, col):
         raise ValueError(f"{col} is not a primitive collection of this fan")
+    return _relation(fan, col)
+
+
+def _require_smooth(fan: Fan) -> None:
+    """Raise `NotSmoothError` unless the fan is smooth, as primitive
+    relations need."""
+    if not is_smooth(fan):
+        raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
+
+
+def _relation(fan: Fan, col: ConeTuple) -> PrimitiveRelation:
+    """`primitive_relation` of a sorted primitive collection ``col`` of a
+    smooth fan, neither of which is checked: callers that have checked the
+    fan once call this for each collection."""
     total = tuple(sum(fan.rays[i][k] for i in col) for k in range(fan.dim))
     if not any(total):
         return PrimitiveRelation(col, (), ())

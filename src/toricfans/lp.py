@@ -14,9 +14,8 @@ multipliers of the positive Phase I optimum. `verify_feasible` and
 direct evaluation, independently of the solver, and also accept a rational
 ``b``; a witness entry that is not an ``int`` or a ``Fraction`` fails the
 check, and a witness of the wrong length raises ValueError.
-`verify_feasible` puts the point over one common denominator and compares
-integer row sums; `verify_farkas` still sums `Fraction` products directly,
-until the benchmark revision (ROADMAP item 1) lets its integer form land.
+Both put the witness over one common denominator and compare integer
+sums: `verify_feasible` row by row, `verify_farkas` on the combined row.
 `fm_feasible` is the same decision without the witness. No LP decides cone
 gluing or overlap in `fan`: `validate_fan` decides a closed fan by a local
 test of its walls and one seed point and any other by a pairwise 3-D
@@ -146,9 +145,17 @@ def verify_feasible(rows, rhs, x) -> bool:
 
 
 def verify_farkas(rows, rhs, multipliers) -> bool:
+    """Whether the nonnegative multipliers combine the rows into ``0 >=
+    positive``, evaluated in integers: they are put over one common
+    denominator ``den``, so the combination is ``sum(num * row)`` and the
+    right-hand side ``sum(num * r)``."""
     if not _exact(multipliers) or any(m < 0 for m in multipliers):
         return False
-    n = len(rows[0]) if rows else 0
-    combo = [sum(m * row[j] for m, row in zip(multipliers, rows, strict=True)) for j in range(n)]
-    total = sum(m * r for m, r in zip(multipliers, rhs, strict=True))
-    return all(c == 0 for c in combo) and total > 0
+    den = lcm(*(m.denominator for m in multipliers))
+    nums = [m.numerator * (den // m.denominator) for m in multipliers]
+    combo = [0] * (len(rows[0]) if rows else 0)
+    for num, row in zip(nums, rows, strict=True):
+        if num:
+            combo = [c + num * a for c, a in zip(combo, row, strict=True)]
+    total = sum(num * r for num, r in zip(nums, rhs, strict=True))
+    return not any(combo) and total > 0

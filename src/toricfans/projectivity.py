@@ -23,10 +23,10 @@ from . import rational
 from .errors import FanValidationError, NotCompleteError, NotSmoothError
 from .fan import (
     Fan,
+    _relation,
     is_complete,
     is_smooth,
     primitive_collections,
-    primitive_relation,
     wall_circuit,
     walls,
 )
@@ -70,7 +70,8 @@ def _ample_system(fan: Fan) -> tuple[list, list[int]]:
 
 def _effective_system(fan: Fan) -> tuple[list, list[int]]:
     """Rows ``d_i >= 0`` for every ray, then degree >= 1 on every primitive
-    relation in `primitive_collections` order."""
+    relation in `primitive_collections` order. Smoothness is checked once,
+    so each relation comes from the unchecked `fan._relation`."""
     if not is_complete(fan):
         raise NotCompleteError("this query needs a complete fan")
     if not is_smooth(fan):
@@ -79,7 +80,7 @@ def _effective_system(fan: Fan) -> tuple[list, list[int]]:
     rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rhs = [0] * n
     for col in primitive_collections(fan):
-        rel = primitive_relation(fan, col)
+        rel = _relation(fan, col)
         coeffs = [0] * n
         for i in rel.collection:
             coeffs[i] += 1

@@ -58,12 +58,19 @@ CATALOG_GRID = [("W7_5", ())] + PROJECTIVE_GRID + MIXED_GRID
 def blowup_chain(fid, params, top, seed=0):
     """Blow up a seeded random maximal cone at its ray sum until the fan has
     ``top`` rays; the result stays smooth and complete."""
+    return list(blowup_rungs(fid, params, top, seed))[-1]
+
+
+def blowup_rungs(fid, params, top, seed=0):
+    """Every fan of `blowup_chain`'s chain, from the catalog fan up to
+    ``top`` rays: the fan with k rays is ``blowup_chain(fid, params, k, seed)``."""
     rng = random.Random(seed)
     fan = build(fid, params)
+    yield fan
     while len(fan.rays) < top:
         cone = rng.choice(fan.max_cones)
         fan = star_subdivide(fan, [sum(fan.rays[i][k] for i in cone) for k in range(3)])
-    return fan
+        yield fan
 
 
 def gauge_fixed_wall_rows(fan):

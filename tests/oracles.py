@@ -22,6 +22,9 @@ moved to bitsets, with its own `_seed_point`, and its overlap matrix comes
 from `interiors_overlap_by_separation`.
 `validate_by_pairwise_scan` is `validate_fan` as it was before its local
 test: the strict separation test on every pair of cones.
+`primitive_collections_by_scan` is `primitive_collections` as it was before
+it read the edge graph: every set of 2 to 4 rays (or of any size) is tested
+against the subsets of the maximal cones.
 """
 
 from __future__ import annotations
@@ -471,4 +474,24 @@ def enumerate_by_lists(raw_rays) -> EnumerationReport:
         fans=fans,
         candidate_cone_count=k,
         search_nodes=nodes,
+    )
+
+
+def primitive_collections_by_scan(fan: Fan, max_size: int | None = 4) -> tuple[ConeTuple, ...]:
+    """Every set of 2 to ``max_size`` rays (any size when None), in (size,
+    lexicographic) order, that lies in no maximal cone while every subset
+    one ray smaller lies in one or is a single ray."""
+    n = len(fan.rays)
+    faces = {(i,) for i in range(n)}
+    faces.update(
+        sub for cone in fan.max_cones for k in (2, 3) for sub in itertools.combinations(cone, k)
+    )
+    top = n if max_size is None else min(n, max_size)
+    return tuple(
+        combo
+        for size in range(2, top + 1)
+        for combo in itertools.combinations(range(n), size)
+        if combo[:-1] in faces  # one of the subsets, tested first for speed
+        and combo not in faces
+        and all(sub in faces for sub in itertools.combinations(combo, size - 1))
     )

@@ -504,6 +504,17 @@ class TestReports:
         assert rel["target_rays"] == [0, 6]
         assert rel["coefficients"] == [1, 1]
 
+    def test_relations_on_fans_that_are_not_smooth(self, tmp_path, capsys):
+        # smoothness is asked for only when there is a collection to relate
+        path = tmp_path / "y1.fan"
+        fanio.save_fan(contract_ray(build("Z2", (0,)), 1), path)
+        code, out, err = run(capsys, "relations", str(path))
+        assert_one_line_rejection(code, out, err)
+        assert err == "primitive relations need integer coefficients, so a smooth fan\n"
+        fanio.save_fan(validate_fan(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)], [(0, 1, 2)]), path)
+        code, out, err = run(capsys, "relations", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["relations"] == []
+
     def test_walls_output(self, tmp_path, capsys):
         path = write_catalog_fan(tmp_path, "W7_5")
         _, out, _ = run(capsys, "walls", str(path))

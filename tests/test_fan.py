@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     CATALOG_GRID,
+    CATALOG_INSTANCES,
     P3_CONES,
     P3_RAYS,
     blowup_chain,
+    blowup_rungs,
     ray_index,
     random_unimodular,
 )
@@ -23,6 +25,7 @@ from oracles import (
     contract_by_link_geometry,
     contract_by_round_trip,
     feasible_by_basis_enumeration,
+    primitive_collections_by_scan,
     relation_by_fraction_cramer,
     star_cones_by_fraction_cramer,
 )
@@ -64,7 +67,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import _cones_containing, _properly_glued, interiors_overlap
+from toricfans.fan import Fan, _cones_containing, _properly_glued, interiors_overlap
 from toricfans.lp import FeasiblePoint, solve_system
 
 
@@ -362,21 +365,6 @@ class TestPrimitiveCollections:
             assert pair in collections
 
     def test_matches_uncapped_scan(self, p3):
-        def brute_force(fan):
-            n = len(fan.rays)
-            cone_sets = [frozenset(cone) for cone in fan.max_cones]
-
-            def is_face(s):
-                return any(s <= cs for cs in cone_sets)
-
-            return tuple(
-                combo
-                for size in range(2, n + 1)
-                for combo in itertools.combinations(range(n), size)
-                if not is_face(frozenset(combo))
-                and all(is_face(frozenset(combo) - {i}) for i in combo)
-            )
-
         w = build("W7_5")
         fans = [build(fid, params) for fid, params in CATALOG_GRID]
         fans += [blowup_chain("W7_5", (), 15), blowup_chain("Z2", (1,), 15)]
@@ -386,7 +374,23 @@ class TestPrimitiveCollections:
             validate_fan(3, P3_RAYS, [(0, 1, 2), (1, 2, 3)]),
         ]
         for fan in fans:
-            assert primitive_collections(fan) == brute_force(fan)
+            assert primitive_collections(fan) == primitive_collections_by_scan(fan, None)
+
+    def test_matches_subset_scan_on_ladders_and_incomplete_fans(self, p3):
+        # the edge-graph construction against the scan of every 2- to 4-set,
+        # order included: every rung of both ladder chains up to 50 rays,
+        # P3, and fans left incomplete by dropping one or two cones
+        fans = [p3]
+        for fid, params in [("W7_5", ()), ("Z2", (1,))]:
+            fans += [fan for fan in blowup_rungs(fid, params, 50) if len(fan.rays) >= 9]
+        complete = [p3, build("W7_5"), build("Z13pp", (2, 7, 4, 2)), blowup_chain("Z2", (1,), 20)]
+        for fan in complete:
+            cones = fan.max_cones
+            fans += [Fan(fan.rays, cones[:k] + cones[k + 1 :]) for k in range(len(cones))]
+            fans.append(Fan(fan.rays, cones[2:]))
+        assert len({len(fan.rays) for fan in fans}) > 40
+        for fan in fans:
+            assert primitive_collections(fan) == primitive_collections_by_scan(fan)
 
     def test_relations_on_w75(self):
         w = build("W7_5")
@@ -491,6 +495,18 @@ class TestPrimitiveCollections:
         cols = primitive_collections(y1)
         with pytest.raises(NotSmoothError):
             primitive_relation(y1, cols[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_INSTANCES), st.integers(0, 2**32), st.integers(0, 14), st.data())
+def test_primitive_collections_match_scan_on_drawn_chains(instance, seed, steps, data):
+    # a blow-up chain of a catalog fan with a drawn seed, and the same fan
+    # with one drawn cone dropped
+    fid, params = instance
+    fan = blowup_chain(fid, params, 8 + steps, seed)
+    k = data.draw(st.integers(0, len(fan.max_cones) - 1))
+    for f in (fan, Fan(fan.rays, fan.max_cones[:k] + fan.max_cones[k + 1 :])):
+        assert primitive_collections(f) == primitive_collections_by_scan(f)
 
 
 class TestStarSubdivision:

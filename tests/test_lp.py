@@ -346,3 +346,33 @@ def test_verify_feasible_explicit_cases(x, outcome):
     rows, rhs = [(1, 2), (0, 1)], [Fraction(2, 3), 1]
     assert _outcome(verify_feasible, rows, rhs, x) is outcome
     assert _outcome(_reference_verify, rows, rhs, x, False) is outcome
+
+
+@pytest.mark.parametrize(
+    "y, outcome",
+    [
+        ([3, 1, 0], True),
+        ([6, 2, Fraction(1, 7)], True),
+        ([Fraction(3, 2), Fraction(1, 2), 0], True),
+        ([0, 0, 0], False),
+        ([Fraction(0), 0, 0], False),
+        ([3, 1, Fraction(3, 2)], False),
+        ([3, 1, Fraction(7, 5)], True),
+        ([3, True, 0], False),
+        ([3, 1, -1], False),
+        ([1, 1, 0], False),
+        ([3, 1], ValueError),
+        ([3, 1, 0, 0], ValueError),
+    ],
+    ids=[
+        "int", "mixed-int-fraction", "fractions", "all-zero", "all-zero-fraction",
+        "fraction-rhs-cancels", "fraction-rhs-positive", "bool", "negative",
+        "combination-not-zero", "short", "long",
+    ],
+)
+def test_verify_farkas_explicit_cases(y, outcome):
+    # 3 * (x0 - 2 x1 >= 1/2) + (-3 x0 + 6 x1 >= 0) gives 0 >= 3/2, and each
+    # unit of the last row, 0 >= -1, takes 1 from the right-hand side
+    rows, rhs = [(1, -2), (-3, 6), (0, 0)], [Fraction(1, 2), 0, -1]
+    assert _outcome(verify_farkas, rows, rhs, y) is outcome
+    assert _outcome(_reference_verify, rows, rhs, y, True) is outcome

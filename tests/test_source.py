@@ -117,3 +117,41 @@ def test_one_seed_search():
         if _builds_moment_point(top)
     ]
     assert scanners == [("fan", "_seed")]
+
+
+def _function(module, name):
+    source = next(path for path in SOURCES if path.stem == module)
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    return next(node for node in tree.body if getattr(node, "name", None) == name)
+
+
+def _calls_of(node, name):
+    """The calls inside ``node`` of ``name`` or of any ``x.name``."""
+    return [
+        call
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+
+
+def test_effective_system_checks_smoothness_once():
+    # the fan is checked once, outside any loop, and each relation comes
+    # from the unchecked core, never the public `primitive_relation`, which
+    # checks smoothness again on every call; so does `relations`
+    system = _function("projectivity", "_effective_system")
+    loops = [node for node in ast.walk(system) if isinstance(node, (ast.For, ast.comprehension))]
+    assert len(_calls_of(system, "is_smooth")) == 1
+    assert not any(_calls_of(loop, "is_smooth") for loop in loops)
+    calls = _calls_by_function()
+    for site in [("projectivity", "_effective_system"), ("cli", "cmd_relations")]:
+        assert "_relation" in calls[site] and "primitive_relation" not in calls[site]
+
+
+def test_primitive_collections_reads_the_edge_graph():
+    # no per-subset predicate and no scan of 3- or 4-subsets of the rays:
+    # `combinations` only walks pairs
+    assert "_is_primitive" not in _calls_by_function()["fan", "primitive_collections"]
+    walks = _calls_of(_function("fan", "primitive_collections"), "combinations")
+    sizes = [ast.unparse(call.args[1]) if len(call.args) > 1 else None for call in walks]
+    assert sizes == ["2"]
