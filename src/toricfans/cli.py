@@ -26,6 +26,7 @@ from . import catalog, fanio
 from .enumeration import enumerate_smooth_complete_fans
 from .errors import FanError
 from .fan import (
+    _cone_inverses,
     _relation,
     _require_smooth,
     contract_ray,
@@ -131,7 +132,8 @@ def cmd_check(args) -> int:
         projective, certificate = is_projective(fan)
         doc["projective"] = projective
         doc["picard_number"] = picard_number(fan)
-        doc["wall_count"] = len(walls(fan))
+        # on a complete fan every 2-face is a wall
+        doc["wall_count"] = len(fan.face_census)
         if args.certificate:
             doc["certificate"] = fanio.certificate_to_doc(certificate)
             if doc["smooth"]:
@@ -172,8 +174,9 @@ def cmd_relations(args) -> int:
     if collections:  # a fan without collections lists none, smooth or not
         _require_smooth(fan)
     relations = []
+    inverses = list(_cone_inverses(fan))
     for col in collections:
-        rel = _relation(fan, col)
+        rel = _relation(fan, col, inverses)
         relations.append(
             {
                 "collection": list(rel.collection),

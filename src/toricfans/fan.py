@@ -6,10 +6,11 @@ Fans are immutable; every operation is a pure function returning new
 values, so fans are safe to share between threads. A `Fan` only adds lazily
 built lookup tables (`faces`, `face_census`), which are the same whichever
 thread builds them and are never mutated. A wall circuit comes from four
-3x3 determinants (`wall_circuit`) and depends only on the wall's four ray
-indices and the ray list, so the fans of one surgery search, which share a
-ray list and never leave the search, share one `circuits` memo of them,
-and the CLI's `check` works on a copy of its loaded fan with its own memo.
+3x3 determinants, read off two cross products (`wall_circuit`), and
+depends only on the wall's four ray indices and the ray list, so the fans
+of one surgery search, which share a ray list and never leave the search,
+share one `circuits` memo of them, and the CLI's `check` works on a copy of
+its loaded fan with its own memo.
 Every other fan, including each one from `validate_fan`, carries none and
 recomputes its circuits on each call.
 
@@ -43,8 +44,12 @@ cone interiors overlap is decided by one pass over the planes through two
 rays (`_planes`), which the enumerator runs on its whole ray set and
 `interiors_overlap` on two cones' own rays.
 Which maximal cones hold a point is decided in integers too, by the signs
-of its numerators against each cone's dual normals (`_cones_containing`);
-primitive relations (`_relation`) and `star_subdivide` both use it.
+of its numerators against each cone's dual normals, the rows of its
+adjugate (`_cone_inverses`), stopping at the first of opposite sign to the
+determinant (`_cones_containing`); primitive relations (`_relation`) and
+`star_subdivide` both use it. Callers that locate every primitive relation
+build that table once, as a list; one point reads it lazily, and no `Fan`
+stores it.
 """
 
 from __future__ import annotations
@@ -396,7 +401,8 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     the wall's two side cones, normalized primitive integral with strictly
     positive entries on both off-wall rays. For smooth fans both off entries
     are 1. For wall rays a, b and off rays c, d, det(b,c,d) a - det(a,c,d) b
-    + det(a,b,d) c - det(a,b,c) d = 0, which fixes it up to sign and gcd.
+    + det(a,b,d) c - det(a,b,c) d = 0, which fixes it up to sign and gcd;
+    the four determinants are dot products with a x b and c x d.
     A fan with a `circuits` memo reads each circuit from it, or computes,
     checks and stores it there.
     """
@@ -405,8 +411,13 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     if memo is not None and key in memo:
         return memo[key]
     a, b, c, d = (fan.rays[i] for i in key)
-    det = rational.determinant
-    lam = [det((b, c, d)), -det((a, c, d)), det((a, b, d)), -det((a, b, c))]
+    (h0, h1, h2), (k0, k1, k2) = rational.cross3(a, b), rational.cross3(c, d)
+    lam = [
+        b[0] * k0 + b[1] * k1 + b[2] * k2,
+        -(a[0] * k0 + a[1] * k1 + a[2] * k2),
+        h0 * d[0] + h1 * d[1] + h2 * d[2],
+        -(h0 * c[0] + h1 * c[1] + h2 * c[2]),
+    ]
     if lam[2] < 0:
         lam = [-x for x in lam]
     if not (lam[2] > 0 and lam[3] > 0):
@@ -491,14 +502,15 @@ def _require_smooth(fan: Fan) -> None:
         raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
 
 
-def _relation(fan: Fan, col: ConeTuple) -> PrimitiveRelation:
+def _relation(fan: Fan, col: ConeTuple, inverses=None) -> PrimitiveRelation:
     """`primitive_relation` of a sorted primitive collection ``col`` of a
     smooth fan, neither of which is checked: callers that have checked the
-    fan once call this for each collection."""
-    total = tuple(sum(fan.rays[i][k] for i in col) for k in range(fan.dim))
+    fan once call this for each collection, with one list of the fan's
+    `_cone_inverses` for all of them."""
+    total = tuple(map(sum, zip(*(fan.rays[i] for i in col))))
     if not any(total):
         return PrimitiveRelation(col, (), ())
-    for cone, d, numerators in _cones_containing(fan, total):
+    for cone, d, numerators in _cones_containing(fan, total, inverses):
         target = [(i, n) for i, n in zip(cone, numerators) if n > 0]
         if any(n % d for _, n in target):
             raise AssertionError(f"relation of {col} has non-integral coefficients")
@@ -510,19 +522,43 @@ def _relation(fan: Fan, col: ConeTuple) -> PrimitiveRelation:
     raise NotCompleteError(f"the ray sum {total} lies in no cone of the fan")
 
 
-def _cones_containing(fan: Fan, v: IntVec):
+def _cone_inverses(fan: Fan):
+    """Yield ``(cone, d, p, q, r)`` per maximal cone, in cone order: d is
+    the determinant of its rays a, b, c and p, q, r are the adjugate rows
+    b x c, c x a, a x b, so a point's numerators in the cone, over d, are its
+    dot products with them (`rational.dual_normals`, which raises ValueError
+    for dependent rays). Lazy for one point; a caller locating many makes it
+    a list once."""
+    rays = fan.rays
+    for cone in fan.max_cones:
+        d, p, q, r = rational.dual_normals([rays[i] for i in cone])
+        yield cone, d, p, q, r
+
+
+def _cones_containing(fan: Fan, v: IntVec, inverses=None):
     """Yield ``(cone, d, numerators)`` for each maximal cone holding v, in
     cone order: d > 0 is the cone's determinant up to sign and v is
     sum(n_j / d * rays[cone[j]]) with every n_j >= 0, positive exactly on the
     rays of the face whose relative interior holds v. Integer arithmetic
-    only (`rational.cramer_numerators`)."""
-    rays = fan.rays
-    for cone in fan.max_cones:
-        d, (n0, n1, n2) = rational.cramer_numerators([rays[i] for i in cone], v)
+    only: each cone of ``inverses`` (by default the lazy `_cone_inverses`)
+    costs at most three dot products, and the first of opposite sign to the
+    determinant rules it out."""
+    x, y, z = v
+    for cone, d, (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) in (
+        _cone_inverses(fan) if inverses is None else inverses
+    ):
+        n0 = p0 * x + p1 * y + p2 * z
+        if n0 * d < 0:
+            continue
+        n1 = q0 * x + q1 * y + q2 * z
+        if n1 * d < 0:
+            continue
+        n2 = r0 * x + r1 * y + r2 * z
+        if n2 * d < 0:
+            continue
         if d < 0:
             d, n0, n1, n2 = -d, -n0, -n1, -n2
-        if n0 >= 0 and n1 >= 0 and n2 >= 0:
-            yield cone, d, (n0, n1, n2)
+        yield cone, d, (n0, n1, n2)
 
 
 def star_subdivide(fan: Fan, new_ray) -> Fan:

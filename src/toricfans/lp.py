@@ -3,10 +3,16 @@
 Systems have the form ``A x >= b`` with an integer matrix ``A`` and an
 integer ``b``. The one decision procedure, `solve_system`, runs Phase I of
 the simplex method on the Farkas dual ``{y >= 0 : y @ A == 0, y @ b == 1}``.
-Its tableau holds integers over one common denominator and is updated by
-fraction-free (Edmonds/Bareiss) pivots, so no `Fraction` is built in the
-loop; Bland's smallest-index rule picks the entering and the leaving
-variable, so degenerate pivots cannot cycle. An infeasible system yields the
+Each tableau row is a primitive integer vector, a positive multiple of its
+true row whose factor is not kept, so no `Fraction` is built in the loop: a
+pivot rewrites only the rows with a nonzero in the entering column, each as
+``row * pivot - f * pivot_row`` over its gcd, and leaves the others as they
+are. Only the row of reduced costs keeps its exact scale, because the
+feasible point is read from it. Bland's smallest-index rule picks the
+entering and the leaving variable, so degenerate pivots cannot cycle, and it
+reads only signs and ratios within one row, which no positive factor
+changes; a basic column's entry in its own row is that row's factor, so the
+multipliers are read exactly too. An infeasible system yields the
 basic ``y``: nonnegative Farkas multipliers with ``y @ A == 0`` and
 ``y @ b > 0``. A feasible one yields a rational point read off the simplex
 multipliers of the positive Phase I optimum. `verify_feasible` and
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -62,18 +68,17 @@ def solve_system(
         raise ValueError("solve_system needs int right-hand sides")
     # Constraint k < n is column k of `rows` (y @ rows == 0); constraint n is
     # y @ rhs == 1. Columns: y_0..y_{m-1}, then one artificial per constraint,
-    # then the right-hand side. Every entry is an integer over the common
-    # denominator `denom`, and the last row holds the reduced costs of the
-    # Phase I objective (the sum of the artificials).
+    # then the right-hand side. Each row is a primitive integer vector, a
+    # positive multiple of its true row; `cost` holds the reduced costs of
+    # the Phase I objective (the sum of the artificials) times `scale`.
     tableau = [
         [row[k] for row in rows] + [int(k == j) for j in range(n + 1)] + [0]
         for k in range(n)
     ]
     tableau.append(list(rhs) + [int(j == n) for j in range(n + 1)] + [1])
-    tableau.append([-sum(t[j] for t in tableau) for j in range(m)] + [0] * (n + 1) + [-1])
-    cost = tableau[-1]
+    cost = [-sum(col) for col in zip(*tableau)][:m] + [0] * (n + 1) + [-1]
+    scale = 1
     basis = list(range(m, m + n + 1))
-    denom = 1
     while cost[-1] != 0:
         # Bland: the first y column with negative reduced cost enters. An
         # artificial that has left never re-enters, so only y columns compete.
@@ -81,39 +86,51 @@ def solve_system(
         if enter is None:
             break
         # Bland: minimum ratio, ties to the smallest basic index, compared
-        # by cross-multiplication. The Phase I objective is bounded below
-        # by 0, so an improving column has a positive entry.
+        # by cross-multiplication; a ratio is read within one row, so its
+        # scale drops out. The Phase I objective is bounded below by 0, so
+        # an improving column has a positive entry.
         out = None
-        for i in range(n + 1):
-            a = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            a = row[enter]
             if a > 0 and (
                 out is None
-                or (d := tableau[i][-1] * tableau[out][enter] - tableau[out][-1] * a) < 0
+                or (d := row[-1] * tableau[out][enter] - tableau[out][-1] * a) < 0
                 or (d == 0 and basis[i] < basis[out])
             ):
                 out = i
         pivot_row = tableau[out]
         pivot = pivot_row[enter]
+        # A row with a zero in the entering column keeps its true values;
+        # every other one becomes row * pivot - f * pivot_row over its gcd,
+        # with no product by a unit pivot, the common case.
         for i, row in enumerate(tableau):
             f = row[enter]
-            # A row with f == 0 only scales by pivot / denom: often by 1.
-            if i != out and (f or pivot != denom):
-                tableau[i] = [(v * pivot - f * u) // denom for v, u in zip(row, pivot_row)]
-        cost = tableau[-1]
+            if f and i != out:
+                if pivot == 1:
+                    new = [v - f * u for v, u in zip(row, pivot_row)]
+                else:
+                    new = [v * pivot - f * u for v, u in zip(row, pivot_row)]
+                g = gcd(*new)
+                tableau[i] = [v // g for v in new] if g > 1 else new
+        f = cost[enter]
+        new = [v * pivot - f * u for v, u in zip(cost, pivot_row)]
+        g = gcd(scale * pivot, *new)
+        cost = [v // g for v in new]
+        scale = scale * pivot // g
         basis[out] = enter
-        denom = pivot
 
     if cost[-1] == 0:
+        # a basic column holds 1 in its true row, so its entry is the scale
         y = [Fraction(0)] * m
-        for i, j in enumerate(basis):
+        for row, j in zip(tableau, basis):
             if j < m:
-                y[j] = Fraction(tableau[i][-1], denom)
+                y[j] = Fraction(row[-1], row[j])
         return FarkasCertificate(tuple(y))
     # Simplex multipliers w_k = 1 - (reduced cost of artificial k), here
-    # times denom. The y columns' reduced costs are >= 0, so row by row
+    # times scale. The y columns' reduced costs are >= 0, so row by row
     # rows @ w[:n] + w[n] * rhs <= 0, and the positive objective is w[n];
     # hence x = -w[:n] / w[n] is feasible.
-    w = [denom - c for c in cost[m : m + n + 1]]
+    w = [scale - c for c in cost[m : m + n + 1]]
     return FeasiblePoint(tuple(Fraction(-w[k], w[n]) for k in range(n)))
 
 

@@ -4,8 +4,9 @@ A torus-invariant divisor D = sum(d_i * D_i) is encoded by its coefficient
 vector ``d``. D is ample exactly when d is strictly positive against the
 circuit of every wall, and the fan is projective exactly when some such d
 exists (existence of a strictly convex support function). Feasibility is
-decided by the exact simplex of `lp.solve_system`; the answer always comes
-with a certificate: an explicit ample d, or Farkas multipliers over the walls
+decided by the exact simplex of `lp.solve_system`, given each system's
+distinct rows (`_solve_distinct`); the answer always comes with a
+certificate: an explicit ample d, or Farkas multipliers over the walls
 combining the inequalities into a contradiction. The certificate's values
 depend on the solver; the verdict does not. Each system is built by one
 function (`_ample_system`, `_effective_system`), and every certificate is
@@ -23,6 +24,7 @@ from . import rational
 from .errors import FanValidationError, NotCompleteError, NotSmoothError
 from .fan import (
     Fan,
+    _cone_inverses,
     _relation,
     is_complete,
     is_smooth,
@@ -30,7 +32,7 @@ from .fan import (
     wall_circuit,
     walls,
 )
-from .lp import FeasiblePoint, solve_system, verify_farkas, verify_feasible
+from .lp import FarkasCertificate, FeasiblePoint, solve_system, verify_farkas, verify_feasible
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,8 @@ def _ample_system(fan: Fan) -> tuple[list, list[int]]:
 def _effective_system(fan: Fan) -> tuple[list, list[int]]:
     """Rows ``d_i >= 0`` for every ray, then degree >= 1 on every primitive
     relation in `primitive_collections` order. Smoothness is checked once,
-    so each relation comes from the unchecked `fan._relation`."""
+    so each relation comes from the unchecked `fan._relation`, located
+    through one list of the fan's cone inverses."""
     if not is_complete(fan):
         raise NotCompleteError("this query needs a complete fan")
     if not is_smooth(fan):
@@ -79,8 +82,9 @@ def _effective_system(fan: Fan) -> tuple[list, list[int]]:
     n = len(fan.rays)
     rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rhs = [0] * n
+    inverses = list(_cone_inverses(fan))
     for col in primitive_collections(fan):
-        rel = _relation(fan, col)
+        rel = _relation(fan, col, inverses)
         coeffs = [0] * n
         for i in rel.collection:
             coeffs[i] += 1
@@ -97,6 +101,27 @@ def _gauge_columns(fan: Fan) -> list[int]:
     # changing existence of a strictly convex support function.
     fixed = set(fan.max_cones[0])
     return [i for i in range(len(fan.rays)) if i not in fixed]
+
+
+def _solve_distinct(rows: list, rhs: list[int]):
+    """`solve_system` on the distinct (row, rhs) pairs, in order of first
+    occurrence; Farkas multipliers come back over every row, zero on each
+    repeat. The outcome, certificate values included, is the full solve's:
+    a repeat's column equals its first occurrence's, so its reduced cost
+    is the same, and Bland's rule enters the earlier column first; once
+    that one is basic both costs are 0, so the repeat never enters, and the
+    other columns see the same pivots in the same order."""
+    first: dict = {}
+    for i, pair in enumerate(zip(rows, rhs)):
+        first.setdefault(pair, i)
+    keep = list(first.values())
+    outcome = solve_system([rows[i] for i in keep], [rhs[i] for i in keep])
+    if isinstance(outcome, FeasiblePoint):
+        return outcome
+    mult = [Fraction(0)] * len(rows)
+    for i, m in zip(keep, outcome.multipliers):
+        mult[i] = m
+    return FarkasCertificate(tuple(mult))
 
 
 def _is_divisor(d, n: int) -> bool:
@@ -142,7 +167,7 @@ def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
     """Decide existence of an ample divisor, with certificate."""
     rows, rhs = _ample_system(fan)
     free = _gauge_columns(fan)
-    outcome = solve_system([tuple(row[i] for i in free) for row in rows], rhs)
+    outcome = _solve_distinct([tuple(row[i] for i in free) for row in rows], rhs)
     if isinstance(outcome, FeasiblePoint):
         d = [Fraction(0)] * len(fan.rays)
         for i, value in zip(free, outcome.x):
@@ -191,7 +216,8 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
     free = _gauge_columns(fan)
     nef_rows = [tuple(row[i] for i in free) for row in rows]
     total = tuple(sum(col) for col in zip(*nef_rows))
-    return isinstance(solve_system(nef_rows + [total], [0] * len(rows) + [1]), FeasiblePoint)
+    outcome = _solve_distinct(nef_rows + [total], [0] * len(rows) + [1])
+    return isinstance(outcome, FeasiblePoint)
 
 
 def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
@@ -205,7 +231,7 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
     primitive relation, so `check --certificate` prints null there unsolved.
     """
     rows, rhs = _effective_system(fan)
-    outcome = solve_system(rows, rhs)
+    outcome = _solve_distinct(rows, rhs)
     if isinstance(outcome, FeasiblePoint):
         return None
     n = len(fan.rays)

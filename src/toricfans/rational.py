@@ -3,8 +3,9 @@
 Everything works on plain tuples/lists of ``int`` or ``fractions.Fraction``;
 no floating point is used anywhere. Matrices are given as sequences of rows.
 
-The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`
-and `cramer_numerators`, which writes a point in a 3x3 basis as integer
+The fan code needs only 3-D closed forms: `cross3`, the 3x3 `determinant`,
+`dual_normals` (a basis determinant and its adjugate rows) and
+`cramer_numerators`, which writes a point in a 3x3 basis as integer
 numerators over the basis determinant, so locating a lattice point in a
 cone never builds a `Fraction`. `solve_columns` (the same solve as
 `Fraction`s) and `integerize` have no caller in the package; tests use them
@@ -61,29 +62,42 @@ def determinant(rows: Sequence[Sequence[Scalar]]) -> Scalar:
     )
 
 
+def dual_normals(
+    vectors: Sequence[Sequence[Scalar]],
+) -> tuple[Scalar, Vector, Vector, Vector]:
+    """``(d, p, q, r)`` for vectors a, b, c: d is det(a, b, c) and p, q, r
+    are the dual normals b x c, c x a and a x b, the rows of the adjugate,
+    so a target's Cramer numerators are its dot products with them. Needs
+    three linearly independent 3-vectors; any other shape, or dependent
+    vectors, raise ValueError."""
+    try:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = vectors
+    except ValueError:
+        raise ValueError("dual_normals needs three 3-vectors") from None
+    p = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0)
+    d = a0 * p[0] + a1 * p[1] + a2 * p[2]
+    if d == 0:
+        raise ValueError("dual_normals requires linearly independent vectors")
+    q = (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0)
+    r = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    return d, p, q, r
+
+
 def cramer_numerators(
     vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar]
 ) -> tuple[Scalar, Vector]:
     """``(d, (n0, n1, n2))`` with ``target == sum(n_j / d * vectors[j])``.
 
-    For vectors a, b, c, d is det(a, b, c) and the numerators are the dot
-    products of the target with the dual normals b x c, c x a and a x b, so
-    integer input stays in `int`. Needs three linearly independent
-    3-vectors and a 3-vector target; any other shape, or dependent vectors,
-    raise ValueError.
+    d and the numerators' normals come from `dual_normals`, so integer input
+    stays in `int`. Needs three linearly independent 3-vectors and a
+    3-vector target; any other shape, or dependent vectors, raise
+    ValueError.
     """
     try:
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = vectors
         v0, v1, v2 = target
     except ValueError:
-        raise ValueError("cramer_numerators needs three 3-vectors and a 3-vector target") from None
-    # the dual normals b x c, c x a, a x b
-    p0, p1, p2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
-    q0, q1, q2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
-    r0, r1, r2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-    d = a0 * p0 + a1 * p1 + a2 * p2
-    if d == 0:
-        raise ValueError("cramer_numerators requires linearly independent vectors")
+        raise ValueError("cramer_numerators needs a 3-vector target") from None
+    d, (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = dual_normals(vectors)
     return d, (
         v0 * p0 + v1 * p1 + v2 * p2,
         v0 * q0 + v1 * q1 + v2 * q2,

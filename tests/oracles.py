@@ -3,6 +3,8 @@
 `feasible_by_basis_enumeration` decides ``A x >= b`` by scanning basic
 solutions of row subsets, with no code in common with `lp.solve_system`.
 `int_det` (a Bareiss determinant of any size) and `rref` serve it.
+`solve_system_bareiss` is `lp.solve_system` as it was with one common
+denominator: the same pivots, so the same outcome and certificate values.
 `contract_by_link_geometry` decides a blow-down by where the ray sits in
 its link, with no round trip through `star_subdivide`;
 `contract_by_round_trip` is `contract_ray` as it was before it built its
@@ -51,6 +53,7 @@ from toricfans.fan import (
     is_complete,
     is_smooth,
 )
+from toricfans.lp import FarkasCertificate, FeasiblePoint
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -146,6 +149,74 @@ def feasible_by_basis_enumeration(
         ):
             return True
     return False
+
+
+def solve_system_bareiss(
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> FeasiblePoint | FarkasCertificate:
+    """`lp.solve_system` as it was before its rows became primitive vectors
+    each known up to a positive scale: the same Phase I simplex on the
+    Farkas dual with Bland's rule, but every tableau entry is an integer over
+    one common denominator, so each fraction-free (Edmonds/Bareiss) pivot
+    rewrites every row. Both follow the same pivots, so their outcomes,
+    certificate values included, must be equal. Expects a valid system."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    # Constraint k < n is column k of `rows` (y @ rows == 0); constraint n is
+    # y @ rhs == 1. Columns: y_0..y_{m-1}, then one artificial per constraint,
+    # then the right-hand side. Every entry is an integer over the common
+    # denominator `denom`, and the last row holds the reduced costs of the
+    # Phase I objective (the sum of the artificials).
+    tableau = [
+        [row[k] for row in rows] + [int(k == j) for j in range(n + 1)] + [0]
+        for k in range(n)
+    ]
+    tableau.append(list(rhs) + [int(j == n) for j in range(n + 1)] + [1])
+    tableau.append([-sum(t[j] for t in tableau) for j in range(m)] + [0] * (n + 1) + [-1])
+    cost = tableau[-1]
+    basis = list(range(m, m + n + 1))
+    denom = 1
+    while cost[-1] != 0:
+        # Bland: the first y column with negative reduced cost enters. An
+        # artificial that has left never re-enters, so only y columns compete.
+        enter = next((j for j in range(m) if cost[j] < 0), None)
+        if enter is None:
+            break
+        # Bland: minimum ratio, ties to the smallest basic index, compared
+        # by cross-multiplication. The Phase I objective is bounded below
+        # by 0, so an improving column has a positive entry.
+        out = None
+        for i in range(n + 1):
+            a = tableau[i][enter]
+            if a > 0 and (
+                out is None
+                or (d := tableau[i][-1] * tableau[out][enter] - tableau[out][-1] * a) < 0
+                or (d == 0 and basis[i] < basis[out])
+            ):
+                out = i
+        pivot_row = tableau[out]
+        pivot = pivot_row[enter]
+        for i, row in enumerate(tableau):
+            f = row[enter]
+            # A row with f == 0 only scales by pivot / denom: often by 1.
+            if i != out and (f or pivot != denom):
+                tableau[i] = [(v * pivot - f * u) // denom for v, u in zip(row, pivot_row)]
+        cost = tableau[-1]
+        basis[out] = enter
+        denom = pivot
+
+    if cost[-1] == 0:
+        y = [Fraction(0)] * m
+        for i, j in enumerate(basis):
+            if j < m:
+                y[j] = Fraction(tableau[i][-1], denom)
+        return FarkasCertificate(tuple(y))
+    # Simplex multipliers w_k = 1 - (reduced cost of artificial k), here
+    # times denom. The y columns' reduced costs are >= 0, so row by row
+    # rows @ w[:n] + w[n] * rhs <= 0, and the positive objective is w[n];
+    # hence x = -w[:n] / w[n] is feasible.
+    w = [denom - c for c in cost[m : m + n + 1]]
+    return FeasiblePoint(tuple(Fraction(-w[k], w[n]) for k in range(n)))
 
 
 def _det3(a, b, c):

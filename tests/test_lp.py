@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CATALOG_INSTANCES
-from oracles import feasible_by_basis_enumeration
+from oracles import feasible_by_basis_enumeration, solve_system_bareiss
 from toricfans import build, is_smooth
 from toricfans.lp import (
     FarkasCertificate,
@@ -19,7 +19,7 @@ from toricfans.lp import (
     verify_farkas,
     verify_feasible,
 )
-from toricfans.projectivity import _ample_system, _effective_system
+from toricfans.projectivity import _ample_system, _effective_system, _solve_distinct
 
 
 def _random_system(rng):
@@ -131,14 +131,17 @@ def _systems(draw):
     return rows, rhs
 
 
-def _solve_scaled(rows, rhs):
-    """`solve_system` on ``q * rows @ x >= q * rhs``, q the lcm of the rhs
-    denominators: an integer system with the same feasible points and the
-    same Farkas multipliers, so its witness also certifies the rational one."""
+def _scaled(rows, rhs):
+    """``q * rows @ x >= q * rhs``, q the lcm of the rhs denominators: an
+    integer system with the same feasible points and the same Farkas
+    multipliers, so its witness also certifies the rational one."""
     q = math.lcm(*(Fraction(r).denominator for r in rhs))
-    return solve_system(
-        [tuple(q * c for c in row) for row in rows], [int(q * r) for r in rhs]
-    )
+    return [tuple(q * c for c in row) for row in rows], [int(q * r) for r in rhs]
+
+
+def _solve_scaled(rows, rhs):
+    """`solve_system` on the `_scaled` system."""
+    return solve_system(*_scaled(rows, rhs))
 
 
 @settings(max_examples=500, deadline=None)
@@ -151,6 +154,17 @@ def test_solver_matches_basis_enumeration_with_verified_witnesses(system):
         assert verify_feasible(rows, rhs, out.x)
     else:
         assert verify_farkas(rows, rhs, out.multipliers)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_systems())
+def test_kernel_matches_the_common_denominator_kernel(system):
+    # the same pivots, so the same outcome, certificate values included;
+    # solving only the distinct rows, as `projectivity` does, changes neither
+    rows, rhs = _scaled(*system)
+    out = solve_system(rows, rhs)
+    assert out == solve_system_bareiss(rows, rhs)
+    assert _solve_distinct(rows, rhs) == out
 
 
 # Every nonzero vector of {-1, 0, 1}^4, almost all with rhs 0: each of the 80

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+from functools import cached_property
 from pathlib import Path
 
 import toricfans
@@ -155,3 +156,35 @@ def test_primitive_collections_reads_the_edge_graph():
     walks = _calls_of(_function("fan", "primitive_collections"), "combinations")
     sizes = [ast.unparse(call.args[1]) if len(call.args) > 1 else None for call in walks]
     assert sizes == ["2"]
+
+
+def test_cone_inverse_table_is_built_once_per_batch():
+    # the callers that locate every primitive relation build the table once,
+    # outside their loop; one point reads the lazy generator, and the table
+    # is never stored on a `Fan`, whose only cached tables are the face ones
+    for module, name in [("projectivity", "_effective_system"), ("cli", "cmd_relations")]:
+        func = _function(module, name)
+        loops = [node for node in ast.walk(func) if isinstance(node, (ast.For, ast.comprehension))]
+        builds = _calls_of(func, "_cone_inverses")
+        assert len(builds) == 1 and not any(_calls_of(loop, "_cone_inverses") for loop in loops)
+        assert all(len(call.args) == 3 for call in _calls_of(func, "_relation"))
+    table = _function("fan", "_cone_inverses")
+    assert any(isinstance(node, ast.Yield) for node in ast.walk(table))
+    cached = {name for name, value in vars(Fan).items() if isinstance(value, cached_property)}
+    assert cached == {"faces", "face_census"}
+
+
+def test_one_simplex_kernel():
+    # one pivoting function in the package, `lp.solve_system`, with no
+    # parameter that could select a second kernel
+    pivoting = sorted(
+        (path.stem, top.name)
+        for path in SOURCES
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(top, ast.FunctionDef)
+        and any(isinstance(node, ast.Name) and node.id == "pivot" for node in ast.walk(top))
+    )
+    assert pivoting == [("lp", "solve_system")]
+    args = _function("lp", "solve_system").args
+    assert [a.arg for a in args.args] == ["rows", "rhs"]
+    assert not (args.kwonlyargs or args.vararg or args.kwarg or args.defaults)
