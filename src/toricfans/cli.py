@@ -19,7 +19,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import catalog, fanio
@@ -116,8 +115,6 @@ def cmd_check(args) -> int:
         _emit({"valid": False, "error": str(exc)})
         print(exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
-    # is_projective and nontrivial_nef_exists share each wall circuit
-    fan = replace(fan, circuits={})
     doc = {
         "indexing": fanio.INDEXING_NOTE,
         "valid": True,

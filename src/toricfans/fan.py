@@ -6,13 +6,8 @@ Fans are immutable; every operation is a pure function returning new
 values, so fans are safe to share between threads. A `Fan` only adds lazily
 built lookup tables (`faces`, `face_census`), which are the same whichever
 thread builds them and are never mutated. A wall circuit comes from four
-3x3 determinants, read off two cross products (`wall_circuit`), and
-depends only on the wall's four ray indices and the ray list, so the fans
-of one surgery search, which share a ray list and never leave the search,
-share one `circuits` memo of them, and the CLI's `check` works on a copy of
-its loaded fan with its own memo.
-Every other fan, including each one from `validate_fan`, carries none and
-recomputes its circuits on each call.
+3x3 determinants, read off two cross products (`wall_circuit`), and is
+computed on each call; no `Fan` stores circuits.
 
 Only simplicial fans are representable: a maximal cone with linearly
 dependent generators is rejected at validation rather than supported. Only
@@ -55,7 +50,8 @@ stores it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Sequence
 
@@ -87,18 +83,11 @@ class Fan:
 
     Input enters through `validate_fan`; `star_subdivide`, `contract_ray`,
     `change_basis` and `surgery`'s wall exchanges build their fans directly.
-
-    ``circuits``, when not None, memoizes `wall_circuit` by
-    ``wall.rays + wall.off_rays`` for every fan on this ray list that shares
-    the dict; it takes no part in equality, hashing or repr.
     """
 
     dim: ClassVar[int] = 3
     rays: tuple[IntVec, ...]
     max_cones: tuple[ConeTuple, ...]
-    circuits: dict[ConeTuple, tuple[int, ...]] | None = field(
-        default=None, compare=False, hash=False, repr=False
-    )
 
     @cached_property
     def face_census(self) -> dict[ConeTuple, tuple[int, ...]]:
@@ -158,14 +147,16 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     whose walls each have their off rays on opposite sides and whose seed
     lies in one cone; the module docstring proves such a fan valid. Any
     other fan goes through the pairwise scan, which raises `OverlapError`
-    for the first pair of cones, in cone order, that does not glue.
+    for the first pair of cones, in cone order, that does not glue. The
+    `Fan` returned is the one `_tiles` checked, so its `face_census` is
+    already built.
     """
-    rays, cones = _checked_input(dim, raw_rays, raw_cones)
-    if not _tiles(rays, cones):
-        for ca, cb in itertools.combinations(cones, 2):
-            if not _properly_glued(rays, ca, cb):
+    fan = Fan(*_checked_input(dim, raw_rays, raw_cones))
+    if not _tiles(fan):
+        for ca, cb in itertools.combinations(fan.max_cones, 2):
+            if not _properly_glued(fan.rays, ca, cb):
                 raise OverlapError(ca, cb)
-    return Fan(rays, cones)
+    return fan
 
 
 def _checked_input(dim: int, raw_rays, raw_cones):
@@ -261,27 +252,25 @@ def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple
     return not off  # with no off rays strictness is vacuous
 
 
-def _tiles(rays: tuple[IntVec, ...], cones: tuple[ConeTuple, ...]) -> bool:
+def _tiles(fan: Fan) -> bool:
     """The local test of `validate_fan` on cones with nonzero determinants:
-    (a) every 2-face lies in exactly two cones, (b) the two off rays of
-    every wall have opposite signs against the cross product of its rays,
-    and (c) exactly one cone holds the `_seed` of the face planes. True
-    means the cones tile R^3 face to face (module docstring); False decides
-    nothing."""
-    off_rays: dict[ConeTuple, list[int]] = {}
-    for a, b, c in cones:
-        for face, off in (((a, b), c), ((a, c), b), ((b, c), a)):
-            off_rays.setdefault(face, []).append(off)
+    (a) every 2-face of `face_census` lies in exactly two cones, (b) the two
+    off rays of every wall, each a cone's index sum minus the face's, have
+    opposite signs against the cross product of its rays, and (c) exactly
+    one cone holds the `_seed` of the face planes. True means the cones tile
+    R^3 face to face (module docstring); False decides nothing."""
+    rays, cones = fan.rays, fan.max_cones
     normals = []
-    for (a, b), offs in off_rays.items():
-        if len(offs) != 2:
+    for (a, b), positions in fan.face_census.items():
+        if len(positions) != 2:
             return False
+        pa, pb = positions
         h = rational.cross3(rays[a], rays[b])
-        if rational.dot(h, rays[offs[0]]) * rational.dot(h, rays[offs[1]]) > 0:
+        c, d = sum(cones[pa]) - a - b, sum(cones[pb]) - a - b
+        if rational.dot(h, rays[c]) * rational.dot(h, rays[d]) > 0:
             return False
         normals.append(h)
-    holders = _cones_containing(Fan(rays, cones), _seed(normals))
-    return len(list(holders)) == 1
+    return len(list(_cones_containing(fan, _seed(normals)))) == 1
 
 
 def _seed(normals: Sequence[IntVec]) -> IntVec:
@@ -374,16 +363,16 @@ def is_complete(fan: Fan) -> bool:
 
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All walls of a complete fan, ordered by their ray index tuples."""
-    unmatched = sorted(f for f, ps in fan.face_census.items() if len(ps) != 2)
-    if unmatched or not fan.max_cones:
+    census, cones = fan.face_census, fan.max_cones
+    unmatched = sorted(f for f, ps in census.items() if len(ps) != 2)
+    if unmatched or not cones:
         raise UnmatchedWallError(unmatched)
     out = []
-    for face in sorted(fan.face_census):
-        pa, pb = fan.face_census[face]
-        ca, cb = sorted((fan.max_cones[pa], fan.max_cones[pb]))
-        off_a = next(i for i in ca if i not in face)
-        off_b = next(i for i in cb if i not in face)
-        out.append(Wall(face, (ca, cb), (off_a, off_b)))
+    for a, b in sorted(census):
+        pa, pb = census[a, b]
+        ca, cb = sorted((cones[pa], cones[pb]))
+        # an off ray is its cone's index sum minus the face's
+        out.append(Wall((a, b), (ca, cb), (sum(ca) - a - b, sum(cb) - a - b)))
     return tuple(out)
 
 
@@ -402,15 +391,12 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
     positive entries on both off-wall rays. For smooth fans both off entries
     are 1. For wall rays a, b and off rays c, d, det(b,c,d) a - det(a,c,d) b
     + det(a,b,d) c - det(a,b,c) d = 0, which fixes it up to sign and gcd;
-    the four determinants are dot products with a x b and c x d.
-    A fan with a `circuits` memo reads each circuit from it, or computes,
-    checks and stores it there.
+    the four determinants are dot products with a x b and c x d. Each call
+    computes the circuit and checks it positive on the off rays.
     """
-    key = wall.rays + wall.off_rays
-    memo = fan.circuits
-    if memo is not None and key in memo:
-        return memo[key]
-    a, b, c, d = (fan.rays[i] for i in key)
+    (p, q), (r, s) = wall.rays, wall.off_rays
+    rays = fan.rays
+    a, b, c, d = rays[p], rays[q], rays[r], rays[s]
     (h0, h1, h2), (k0, k1, k2) = rational.cross3(a, b), rational.cross3(c, d)
     lam = [
         b[0] * k0 + b[1] * k1 + b[2] * k2,
@@ -422,14 +408,10 @@ def wall_circuit(fan: Fan, wall: Wall) -> tuple[int, ...]:
         lam = [-x for x in lam]
     if not (lam[2] > 0 and lam[3] > 0):
         raise AssertionError(f"circuit of wall {wall.rays} is not positive on its off rays")
-    g = rational.vec_gcd(lam)
-    dense = [0] * len(fan.rays)
-    for i, x in zip(key, lam):
-        dense[i] = x // g
-    circuit = tuple(dense)
-    if memo is not None:
-        memo[key] = circuit
-    return circuit
+    g = math.gcd(*lam)
+    dense = [0] * len(rays)
+    dense[p], dense[q], dense[r], dense[s] = (x // g for x in lam)
+    return tuple(dense)
 
 
 def primitive_collections(fan: Fan) -> tuple[ConeTuple, ...]:

@@ -221,7 +221,7 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
 
 
 def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
-    """Fast necessary test: can an *effective* divisor be ample?
+    """Necessary test: can an *effective* divisor be ample?
 
     Builds {d_i >= 0 for all rays; degree >= 1 on every primitive relation}
     and returns a Farkas witness when that system is infeasible, which proves
@@ -229,6 +229,8 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
     On a projective fan the answer is always None: an ample class is linearly
     equivalent to a strictly effective one, and it is positive on every
     primitive relation, so `check --certificate` prints null there unsolved.
+    This function still solves the whole feasible system on a projective
+    fan, which took 0.4-2.5 s at 35-50 rays on the Z2(1) blow-up chain.
     """
     rows, rhs = _effective_system(fan)
     outcome = _solve_distinct(rows, rhs)

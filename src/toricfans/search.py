@@ -12,16 +12,15 @@ nothing: the search is a semi-decision procedure. The ray list is fixed, so
 a component is finite, and the search ends with its frontier: a level that
 adds no new fan ends it before `max_depth`, a non-negative int.
 
-A wall's circuit depends only on its four ray indices and the ray list, so
-each search starts from a copy of its input fan that carries an empty
-`Fan.circuits` memo, and every fan `_exchange` builds from it shares that
-memo: each circuit is computed and checked once per search, and the memo
-goes when the search returns. Fans handed back to the caller carry none.
+Each wall circuit is computed where it is used, by `is_projective` and
+again when the fan's walls are classified; one circuit is two cross
+products. `projectivize` returns its input fan or a fan `_exchange`
+built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import FanError, NotCompleteError
 from .fan import Fan, canonical_key, is_complete, is_smooth, walls
@@ -90,42 +89,39 @@ def _explore(fan: Fan, max_depth: int, flops_only: bool):
         level = next_level
 
 
-def _memo_copy(fan: Fan, max_depth: int, flops_only: bool, query: str) -> Fan:
-    """A complete `fan`'s copy with a fresh circuit memo for one search to an
-    int `max_depth` >= 0 (not a bool), with a bool `flops_only`."""
+def _check_search(fan: Fan, max_depth: int, flops_only: bool, query: str) -> None:
+    """Raise unless `fan` is complete, `max_depth` an int >= 0 (not a bool)
+    and `flops_only` a bool."""
     if type(max_depth) is not int or max_depth < 0:
         raise FanError(f"{query} needs max_depth to be an int >= 0, got {max_depth!r}")
     if type(flops_only) is not bool:
         raise FanError(f"{query} needs flops_only to be a bool, got {flops_only!r}")
-    start = replace(fan, circuits={})
-    if not is_complete(start):
+    if not is_complete(fan):
         raise NotCompleteError(f"{query} needs a complete fan")
-    return start
 
 
 def projectivize(fan: Fan, max_depth: int = 4, flops_only: bool = False) -> SearchResult:
     """Search for a projective fan within `max_depth` wall exchanges."""
-    start = _memo_copy(fan, max_depth, flops_only, "projectivize")
-    if is_projective(start)[0]:
+    _check_search(fan, max_depth, flops_only, "projectivize")
+    if is_projective(fan)[0]:
         return SearchResult(True, (), fan, is_smooth(fan), 1, 0)
     visited, depth_reached = 1, 0
-    for route, child in _explore(start, max_depth, flops_only):
+    for route, child in _explore(fan, max_depth, flops_only):
         if child is None:
             continue
         visited += 1
         depth_reached = len(route)
         if is_projective(child)[0]:
-            final = replace(child, circuits=None)
-            return SearchResult(True, route, final, is_smooth(child), visited, depth_reached)
+            return SearchResult(True, route, child, is_smooth(child), visited, depth_reached)
     return SearchResult(False, (), fan, is_smooth(fan), visited, depth_reached)
 
 
 def surgery_graph(fan: Fan, max_depth: int, flops_only: bool = False) -> SurgeryGraph:
     """The surgery graph out to a fixed depth, in deterministic BFS order."""
-    start = _memo_copy(fan, max_depth, flops_only, "surgery_graph")
-    nodes = [GraphNode(canonical_key(start), is_smooth(start), is_projective(start)[0])]
+    _check_search(fan, max_depth, flops_only, "surgery_graph")
+    nodes = [GraphNode(canonical_key(fan), is_smooth(fan), is_projective(fan)[0])]
     edges: list[SurgeryStep] = []
-    for route, child in _explore(start, max_depth, flops_only):
+    for route, child in _explore(fan, max_depth, flops_only):
         step = route[-1]
         edges.append(step)
         if child is not None:

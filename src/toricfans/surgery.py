@@ -104,12 +104,12 @@ def _exchange(fan: Fan, wall: Wall, cones: tuple[tuple[int, ...], ...]) -> Fan:
 
     Only the two new cones are checked: a zero determinant is a bug here,
     not malformed input, so it raises `AssertionError` (exit 3 in the CLI).
-    The ray list is unchanged, so the result shares `fan`'s circuit memo.
+    The result is a new `Fan` on `fan`'s ray list.
     """
     c, d = wall.off_rays
     if any(determinant([fan.rays[i] for i in (c, d, k)]) == 0 for k in wall.rays):
         raise AssertionError(f"wall exchange at {wall.rays} made a degenerate cone")
-    return Fan(fan.rays, cones, fan.circuits)
+    return Fan(fan.rays, cones)
 
 
 def find_wall(fan: Fan, ray_pair) -> Wall:

@@ -27,7 +27,6 @@ from toricfans import (
     nontrivial_nef_exists,
     picard_number,
     projectivity,
-    rational,
     star_subdivide,
     surgery,
     validate_fan,
@@ -142,25 +141,6 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path), "--certificate", "--nef")
         assert code == 0
         assert out == fanio.dumps(expected)
-
-    def test_nef_check_computes_each_wall_circuit_once(self, tmp_path, capsys, monkeypatch):
-        # `wall_circuit` is the only caller of `vec_gcd` once the fan is
-        # loaded; loading calls it through `rational.is_primitive`
-        gcds = []
-        real_gcd = rational.vec_gcd
-        monkeypatch.setattr(rational, "vec_gcd", lambda v: gcds.append(v) or real_gcd(v))
-        real_load = fanio.load_fan
-
-        def load_then_reset(path):
-            fan = real_load(path)
-            gcds.clear()
-            return fan
-
-        monkeypatch.setattr(fanio, "load_fan", load_then_reset)
-        _, out, _ = run(capsys, "check", str(write_catalog_fan(tmp_path, "W7_5")), "--nef")
-        doc = json.loads(out)
-        assert doc["projective"] is False and doc["nontrivial_nef_exists"] is True
-        assert len(gcds) == doc["wall_count"] == 15
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.fan"

@@ -75,7 +75,7 @@ def _failing_clauses(rays, cones):
 @pytest.mark.parametrize("name", COMPLETE_FANS)
 def test_complete_fans_pass_the_local_test_and_the_scan(name):
     fan = COMPLETE_FANS[name]
-    assert _tiles(fan.rays, fan.max_cones)
+    assert _tiles(fan)
     assert _assert_matches_pairwise_scan(fan.rays, fan.max_cones) == fan
 
 
@@ -123,7 +123,7 @@ def test_each_clause_rejects_a_closed_surface(surface, failing, pair):
     assert all(len(offs) >= 2 for offs in _off_rays(cones).values())
     assert _failing_clauses(rays, cones) == failing
     sorted_cones = tuple(sorted(tuple(sorted(c)) for c in cones))
-    assert not _tiles(tuple(rays), sorted_cones)
+    assert not _tiles(Fan(tuple(rays), sorted_cones))
     message = f"cones {pair[0]} and {pair[1]} violate the fan property"
     assert _assert_matches_pairwise_scan(rays, cones) == (OverlapError, message)
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from conftest import CATALOG_GRID
+from conftest import CATALOG_GRID, blowup_chain
 from toricfans import (
     build,
     canonical_key,
@@ -270,3 +270,29 @@ def test_graph_classifies_each_wall_and_keys_each_fan_once(monkeypatch):
     assert len(classified) == len(set(classified))
     # the start fan is keyed for its graph node and for the search
     assert len(keyed) == len(graph.nodes) + 1
+
+
+EXPLORED = [
+    ("Z13pp(2,7,4,2)", lambda: build("Z13pp", (2, 7, 4, 2)), 3),
+    ("W7_5", lambda: build("W7_5"), 3),
+    ("W7_5 rung 11", lambda: blowup_chain("W7_5", (), 11), 2),
+]
+
+
+@pytest.mark.parametrize("flops_only", [False, True], ids=["all-kinds", "flops-only"])
+@pytest.mark.parametrize("name, make, depth", EXPLORED, ids=[s[0] for s in EXPLORED])
+def test_explored_steps_match_classify_wall_and_the_graph(name, make, depth, flops_only):
+    # each step is checked on its before-fan revalidated from its rays and cones
+    start = make()
+    fans = {canonical_key(start): start}
+    edges = []
+    for route, child in search._explore(start, depth, flops_only):
+        edges.append(route[-1])
+        if child is not None:
+            fans[canonical_key(child)] = validate_fan(3, child.rays, child.max_cones)
+    assert edges or flops_only  # Z13pp(2,7,4,2) has no flop wall
+    assert tuple(edges) == surgery_graph(make(), depth, flops_only).edges
+    for step in edges:
+        before = fans[step.before_key]
+        cls = classify_wall(before, find_wall(before, step.wall_rays))
+        assert (step.kind, step.degree) == (cls.kind, cls.degree)

@@ -70,7 +70,7 @@ def test_one_rule_decides_overlapping_interiors():
 def test_fan_is_three_dimensional_by_type():
     # `dim` is a class constant, not a field, and no constructor call in the
     # package passes a dimension: a literal, a `dim` name or a `.dim` read
-    assert [f.name for f in dataclasses.fields(Fan)] == ["rays", "max_cones", "circuits"]
+    assert [f.name for f in dataclasses.fields(Fan)] == ["rays", "max_cones"]
     assert Fan.dim == 3
     calls = [
         node
