@@ -1,9 +1,12 @@
 """Builders for the classical catalog of smooth complete threefold fans.
 
 Twelve parameterized families: the unique non-projective smooth complete
-fan of Picard number four (``W7_5``) and the eleven Picard-number-five types
-that admit no smooth blow-down, under their customary labels. Ray
-coordinates and cone lists are transcribed verbatim from the classification;
+fan of Picard number four (``W7_5``) and eleven Picard-number-five types,
+under their customary labels. Not every parameter value gives a minimal
+fan: 132 of the 355 fans of the test suite's parameter grid contract a ray
+to a smooth fan, among them ``Z5p`` at a = -1 and 0 and ``Z11`` at a = b
+(``tests/test_catalog.py`` pins the count of each family). Ray coordinates
+and cone lists are transcribed verbatim from the classification;
 ``expected_projectivity`` records the known verdict for each family as a
 predicate on the parameters, for use as a regression oracle.
 

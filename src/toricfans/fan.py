@@ -30,21 +30,25 @@ face (De Loera, Rambau & Santos, *Triangulations*, 2010): if cones A and B
 met in more than a common face, a ray r of one, say B, would lie in the
 relative interior of A or of a 2-face G of A; G lies in exactly one other
 cone A', on the far side of G, so A and A' cover a neighbourhood of r, B
-is neither, and its interior near r meets the interior of A or of A'. Any
-other fan, such as one with a boundary face, goes through the pairwise
-scan, which names the first pair in cone order that does not glue; an
-exact integer test decides each pair by looking for a strictly separating
-plane among the cross products of their rays (`_properly_glued`). Whether
-cone interiors overlap is decided by one pass over the planes through two
-rays (`_planes`), which the enumerator runs on its whole ray set and
-`interiors_overlap` on two cones' own rays.
+is neither, and its interior near r meets the interior of A or of A'.
+Whether cone interiors overlap is decided by one pass over the planes
+through two rays (`_planes`), which the enumerator runs on its whole ray
+set and `interiors_overlap` on two cones' own rays. `validate_fan` decides
+any other fan, such as one with a boundary face, from that pass and the
+location of every ray (`_cones_containing`): cones A and B glue face to
+face iff their interiors are disjoint and neither holds a ray of the other
+that is not its own. Why: with disjoint interiors some plane H has them
+on opposite closed sides, so A and B meet where their faces on H meet, and
+two cones of dimension at most 2 in one plane meet in more than a common
+face only if one holds an extreme ray of the other that is not its own.
+The first failing pair in cone order is named.
 Which maximal cones hold a point is decided in integers too, by the signs
 of its numerators against each cone's dual normals, the rows of its
 adjugate (`_cone_inverses`), stopping at the first of opposite sign to the
-determinant (`_cones_containing`); primitive relations (`_relation`) and
-`star_subdivide` both use it. Callers that locate every primitive relation
-build that table once, as a list; one point reads it lazily, and no `Fan`
-stores it.
+determinant (`_cones_containing`); primitive relations (`_relation`),
+`star_subdivide` and that test of open fans use it. Callers that locate
+many points (every primitive relation, every ray) build that table once,
+as a list; one point reads it lazily, and no `Fan` stores it.
 """
 
 from __future__ import annotations
@@ -146,15 +150,24 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
     After the input checks the local test `_tiles` accepts a closed fan
     whose walls each have their off rays on opposite sides and whose seed
     lies in one cone; the module docstring proves such a fan valid. Any
-    other fan goes through the pairwise scan, which raises `OverlapError`
-    for the first pair of cones, in cone order, that does not glue. The
-    `Fan` returned is the one `_tiles` checked, so its `face_census` is
-    already built.
+    other fan is decided by `_planes` and `_cones_containing`, as that
+    docstring says, and `OverlapError` names the first pair of cones, in
+    cone order, that does not glue. The `Fan` returned is the one `_tiles`
+    checked, so its `face_census` is already built.
     """
     fan = Fan(*_checked_input(dim, raw_rays, raw_cones))
     if not _tiles(fan):
-        for ca, cb in itertools.combinations(fan.max_cones, 2):
-            if not _properly_glued(fan.rays, ca, cb):
+        cones = fan.max_cones
+        masks = [sum(1 << i for i in cone) for cone in cones]
+        disjoint, _ = _planes(fan.rays, masks)
+        inverses = list(_cone_inverses(fan))
+        foreign = dict.fromkeys(cones, 0)  # rays each cone holds, not its own
+        for i, v in enumerate(fan.rays):
+            for cone, _, _ in _cones_containing(fan, v, inverses):
+                if i not in cone:
+                    foreign[cone] |= 1 << i
+        for (x, ca), (y, cb) in itertools.combinations(enumerate(cones), 2):
+            if not disjoint[x] >> y & 1 or foreign[ca] & masks[y] or foreign[cb] & masks[x]:
                 raise OverlapError(ca, cb)
     return fan
 
@@ -212,44 +225,6 @@ def _checked_input(dim: int, raw_rays, raw_cones):
 def _is_int_list(raw) -> bool:
     """A list or tuple of ints; ``type`` is exact so that bools are rejected."""
     return isinstance(raw, (list, tuple)) and all(type(x) is int for x in raw)
-
-
-def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
-    """Whether two simplicial cones intersect exactly in their common face.
-
-    Equivalent, by the separation lemma for convex polyhedral cones, to the
-    existence of a normal h vanishing on the shared rays with h @ w > 0 on
-    every off ray w (those of ``cone_b`` negated). The normals with every
-    h @ w >= 0 form a pointed cone (inside the dual of ``cone_a``) whose
-    extreme rays are +- cross products of two rays, one of them the first
-    shared ray if any; a strict normal exists iff their sum is strict.
-    """
-    shared = [rays[i] for i in cone_a if i in cone_b]
-    off = [rays[i] for i in cone_a if i not in cone_b]
-    off += [(-x, -y, -z) for x, y, z in (rays[i] for i in cone_b if i not in cone_a)]
-    if shared:
-        pairs = [(shared[0], w) for w in shared[1:] + off]
-    else:
-        pairs = itertools.combinations(off, 2)
-    # running sum of the passing candidates, as its values on the off rays
-    total = [0] * len(off)
-    for (u0, u1, u2), (v0, v1, v2) in pairs:
-        h0 = u1 * v2 - u2 * v1
-        h1 = u2 * v0 - u0 * v2
-        h2 = u0 * v1 - u1 * v0
-        if not (h0 or h1 or h2):
-            continue
-        if any(h0 * f0 + h1 * f1 + h2 * f2 for f0, f1, f2 in shared[1:]):
-            continue
-        values = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in off]
-        if any(v < 0 for v in values):
-            if any(v > 0 for v in values):
-                continue
-            values = [-v for v in values]  # -h passes
-        total = [t + v for t, v in zip(total, values)]
-        if all(t > 0 for t in total):
-            return True
-    return not off  # with no off rays strictness is vacuous
 
 
 def _tiles(fan: Fan) -> bool:

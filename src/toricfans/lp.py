@@ -24,8 +24,8 @@ Both put the witness over one common denominator and compare integer
 sums: `verify_feasible` row by row, `verify_farkas` on the combined row.
 `fm_feasible` is the same decision without the witness. No LP decides cone
 gluing or overlap in `fan`: `validate_fan` decides a closed fan by a local
-test of its walls and one seed point and any other by a pairwise 3-D
-separation test, and `_planes` decides overlapping interiors.
+test of its walls and one seed point, and any other by the overlap pass
+`_planes` and the cones `_cones_containing` finds for each ray.
 """
 
 from __future__ import annotations

@@ -210,14 +210,23 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
 
     False means every nef divisor is numerically trivial. One exact LP:
     {d nef, (sum of all wall circuits) @ d >= 1}. On a nef d every circuit
-    term is >= 0, so the sum is positive exactly when some term is.
+    term is >= 0, so the sum is positive exactly when some term is. The
+    point or the Farkas multipliers found are re-verified on those rows.
     """
     rows, _ = _ample_system(fan)
     free = _gauge_columns(fan)
     nef_rows = [tuple(row[i] for i in free) for row in rows]
-    total = tuple(sum(col) for col in zip(*nef_rows))
-    outcome = _solve_distinct(nef_rows + [total], [0] * len(rows) + [1])
-    return isinstance(outcome, FeasiblePoint)
+    nef_rows.append(tuple(sum(col) for col in zip(*nef_rows)))
+    rhs = [0] * len(rows) + [1]
+    outcome = _solve_distinct(nef_rows, rhs)
+    exists = isinstance(outcome, FeasiblePoint)
+    if exists:
+        holds = verify_feasible(nef_rows, rhs, outcome.x)
+    else:
+        holds = verify_farkas(nef_rows, rhs, outcome.multipliers)
+    if not holds:
+        raise AssertionError("the nontrivial nef outcome found does not re-verify")
+    return exists
 
 
 def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:

@@ -22,8 +22,12 @@ cross products of the two cones' rays, one of them a shared ray if any.
 `enumerate_by_lists` is the enumeration backtracker as it was before it
 moved to bitsets, with its own `_seed_point`, and its overlap matrix comes
 from `interiors_overlap_by_separation`.
-`validate_by_pairwise_scan` is `validate_fan` as it was before its local
-test: the strict separation test on every pair of cones.
+`_properly_glued` is the pairwise gluing test `validate_fan` ran before
+it decided closed fans locally and open ones from `fan._planes` and ray
+location: it looks for a strictly separating plane among the cross
+products of two cones' rays. `validate_by_pairwise_scan` runs it on every
+pair of cones after `validate_fan`'s input checks, so it decides every fan
+with no code in common with `validate_fan`'s gluing rules.
 `primitive_collections_by_scan` is `primitive_collections` as it was before
 it read the edge graph: every set of 2 to 4 rays (or of any size) is tested
 against the subsets of the maximal cones.
@@ -47,8 +51,8 @@ from toricfans.errors import (
 from toricfans.fan import (
     ConeTuple,
     Fan,
+    IntVec,
     _checked_input,
-    _properly_glued,
     canonical_key,
     is_complete,
     is_smooth,
@@ -406,11 +410,50 @@ def change_basis_by_validate_fan(fan: Fan, matrix) -> Fan:
     return validate_fan(fan.dim, [rational.mat_vec(matrix, v) for v in fan.rays], fan.max_cones)
 
 
+def _properly_glued(rays: Sequence[IntVec], cone_a: ConeTuple, cone_b: ConeTuple) -> bool:
+    """Whether two simplicial cones intersect exactly in their common face.
+
+    Equivalent, by the separation lemma for convex polyhedral cones, to the
+    existence of a normal h vanishing on the shared rays with h @ w > 0 on
+    every off ray w (those of ``cone_b`` negated). The normals with every
+    h @ w >= 0 form a pointed cone (inside the dual of ``cone_a``) whose
+    extreme rays are +- cross products of two rays, one of them the first
+    shared ray if any; a strict normal exists iff their sum is strict.
+    """
+    shared = [rays[i] for i in cone_a if i in cone_b]
+    off = [rays[i] for i in cone_a if i not in cone_b]
+    off += [(-x, -y, -z) for x, y, z in (rays[i] for i in cone_b if i not in cone_a)]
+    if shared:
+        pairs = [(shared[0], w) for w in shared[1:] + off]
+    else:
+        pairs = itertools.combinations(off, 2)
+    # running sum of the passing candidates, as its values on the off rays
+    total = [0] * len(off)
+    for (u0, u1, u2), (v0, v1, v2) in pairs:
+        h0 = u1 * v2 - u2 * v1
+        h1 = u2 * v0 - u0 * v2
+        h2 = u0 * v1 - u1 * v0
+        if not (h0 or h1 or h2):
+            continue
+        if any(h0 * f0 + h1 * f1 + h2 * f2 for f0, f1, f2 in shared[1:]):
+            continue
+        values = [h0 * w0 + h1 * w1 + h2 * w2 for w0, w1, w2 in off]
+        if any(v < 0 for v in values):
+            if any(v > 0 for v in values):
+                continue
+            values = [-v for v in values]  # -h passes
+        total = [t + v for t, v in zip(total, values)]
+        if all(t > 0 for t in total):
+            return True
+    return not off  # with no off rays strictness is vacuous
+
+
 def validate_by_pairwise_scan(dim, raw_rays, raw_cones) -> Fan:
     """`validate_fan`'s input checks, then `_properly_glued` on every pair of
     cones, raising `OverlapError` for the first pair in cone order that does
     not glue. The gluing test itself is checked against two LP oracles in
-    `test_fan`; this scan shares no code with `fan._tiles`."""
+    `test_fan`; this scan shares no code with `validate_fan`'s gluing rules
+    (`fan._tiles`, `fan._planes`, `fan._cones_containing`)."""
     rays, cones = _checked_input(dim, raw_rays, raw_cones)
     for ca, cb in itertools.combinations(cones, 2):
         if not _properly_glued(rays, ca, cb):

@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import CATALOG_INSTANCES, ray_index
+import collections
+
+from conftest import CATALOG_GRID, CATALOG_INSTANCES, ray_index
 from toricfans import (
     build,
     canonical_key,
@@ -17,7 +19,7 @@ from toricfans import (
     star_subdivide,
     validate_fan,
 )
-from toricfans.errors import ArityMismatchError, UnknownFamilyError
+from toricfans.errors import ArityMismatchError, UnknownFamilyError, UnsupportedStarPatternError
 
 
 def test_family_ids():
@@ -50,6 +52,27 @@ def test_builders_produce_smooth_complete_fans(fid, params):
     assert is_complete(fan)
     assert picard_number(fan) == (4 if fid == "W7_5" else 5)
     assert len(fan.max_cones) == 2 * len(fan.rays) - 4
+
+
+def _has_smooth_blow_down(fan):
+    for i in range(len(fan.rays)):
+        try:
+            if is_smooth(contract_ray(fan, i)):
+                return True
+        except UnsupportedStarPatternError:
+            pass
+    return False
+
+
+def test_grid_fans_with_a_smooth_blow_down():
+    # the families are minimal only for some parameter values; the grid
+    # fans of the others contract a ray to a smooth fan
+    found = [(fid, p) for fid, p in CATALOG_GRID if _has_smooth_blow_down(build(fid, p))]
+    counts = collections.Counter(fid for fid, _ in found)
+    assert counts == {"Z13pp": 112, "Z13p": 9, "Z11": 5, "Z2": 2, "Z5p": 2, "Z14p": 2}
+    # the values the catalog docstring names
+    assert [params for fid, params in found if fid == "Z5p"] == [(-1,), (0,)]
+    assert [params for fid, params in found if fid == "Z11"] == [(a, a) for a in range(-2, 3)]
 
 
 def test_parameter_instantiation():

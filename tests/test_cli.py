@@ -33,6 +33,7 @@ from toricfans import (
     walls,
 )
 from toricfans.cli import main
+from toricfans.lp import FarkasCertificate, FeasiblePoint
 
 
 def run(capsys, *argv):
@@ -210,6 +211,34 @@ class TestCheck:
         path = write_catalog_fan(tmp_path, "W7_5")
         monkeypatch.setattr(projectivity, "_certificate_holds", lambda rows, rhs, cert: False)
         code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "does not re-verify" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fid,exists", [("W7_5", True), ("Z12", False)])
+    def test_failed_nef_reverification_exits_three_with_one_line(
+        self, tmp_path, capsys, monkeypatch, fid, exists
+    ):
+        # zero every entry of the nef LP's point or multipliers, so neither
+        # the sum row nor the Farkas total holds; the ample LP is untouched
+        real = projectivity._solve_distinct
+
+        def zeroed(rows, rhs):
+            outcome = real(rows, rhs)
+            if min(rhs) > 0:
+                return outcome
+            if exists:
+                return FeasiblePoint(tuple(0 * x for x in outcome.x))
+            return FarkasCertificate(tuple(0 * m for m in outcome.multipliers))
+
+        path = write_catalog_fan(tmp_path, fid)
+        _, out, _ = run(capsys, "check", str(path), "--nef")
+        assert json.loads(out)["nontrivial_nef_exists"] is exists
+        monkeypatch.setattr(projectivity, "_solve_distinct", zeroed)
+        with pytest.raises(AssertionError, match="does not re-verify"):
+            nontrivial_nef_exists(build(fid))
+        code, out, err = run(capsys, "check", str(path), "--nef")
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1

@@ -20,6 +20,7 @@ from conftest import (
 )
 from oracles import (
     _in_open_2cone,
+    _properly_glued,
     change_basis_by_validate_fan,
     cones_containing_by_fraction_cramer,
     contract_by_link_geometry,
@@ -67,7 +68,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import Fan, _cones_containing, _properly_glued, interiors_overlap
+from toricfans.fan import Fan, _cones_containing, interiors_overlap
 from toricfans.lp import FeasiblePoint, solve_system
 
 

@@ -1,5 +1,6 @@
-"""`validate_fan`'s local test of closed fans against the pairwise scan it
-short-cuts: every verdict, exception type and message must equal those of
+"""`validate_fan`'s local test of closed fans, and its overlap pass with ray
+location for every other fan, against the pairwise scan they replace: every
+verdict, exception type and message must equal those of
 `oracles.validate_by_pairwise_scan`."""
 
 import collections
@@ -14,7 +15,7 @@ from oracles import _seed_point, cones_containing_by_fraction_cramer, validate_b
 from perfbench.workloads import instance_name
 from toricfans import build, rational, validate_fan
 from toricfans.errors import FanValidationError, OverlapError
-from toricfans.fan import Fan, _tiles
+from toricfans.fan import Fan, _tiles, interiors_overlap
 
 GRID_FANS = {instance_name(fid, params): build(fid, params) for fid, params in CATALOG_GRID}
 CHAIN_FANS = {
@@ -128,12 +129,79 @@ def test_each_clause_rejects_a_closed_surface(surface, failing, pair):
     assert _assert_matches_pairwise_scan(rays, cones) == (OverlapError, message)
 
 
+# Open fans, which the local test rejects and the overlap pass with the
+# location of every ray decides: cones fail when their interiors meet, or
+# when one holds a ray of the other that is not its own.
+DISJOINT_WITH_FOREIGN_RAY = (
+    # (0, 3, 4) lies below the plane z = 0 and (0, 1, 2) above it, but ray 3
+    # of the one lies on the 2-face (0, 1) of the other
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)],
+    [(0, 1, 2), (0, 3, 4)],
+)
+CROSSED = (
+    # two triangles on the plane z = 1 that cross as a six-pointed star: no
+    # ray of one lies in the other, but both hold (0, 0, 1)
+    [(0, 2, 1), (-2, -1, 1), (2, -1, 1), (0, -2, 1), (-2, 1, 1), (2, 1, 1)],
+    [(0, 1, 2), (3, 4, 5)],
+)
+HALF_SPACE = (
+    # four cones on the closed half-space x >= 0, glued around ray 0
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 0), (0, 0, -1)],
+    [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 1, 4)],
+)
+
+
+@pytest.mark.parametrize(
+    "fan,interiors_meet,foreign,pair",
+    [
+        (DISJOINT_WITH_FOREIGN_RAY, False, {((0, 1, 2), 3)}, ((0, 1, 2), (0, 3, 4))),
+        (CROSSED, True, set(), ((0, 1, 2), (3, 4, 5))),
+        (HALF_SPACE, False, set(), None),
+    ],
+    ids=["disjoint-with-foreign-ray", "crossed-interiors", "valid-half-space"],
+)
+def test_each_clause_decides_an_open_fan(fan, interiors_meet, foreign, pair):
+    rays, cones = fan
+    sorted_cones = tuple(sorted(tuple(sorted(c)) for c in cones))
+    whole = Fan(tuple(rays), sorted_cones)
+    assert not _tiles(whole)
+    pairs = itertools.combinations(sorted_cones, 2)
+    assert any(interiors_overlap(rays, a, b) for a, b in pairs) == interiors_meet
+    held = {
+        (cone, i)
+        for i, v in enumerate(rays)
+        for cone, _ in cones_containing_by_fraction_cramer(whole, v)
+        if i not in cone
+    }
+    assert held == foreign
+    got = _assert_matches_pairwise_scan(rays, cones)
+    if pair is None:
+        assert got == whole
+    else:
+        assert got == (OverlapError, f"cones {pair[0]} and {pair[1]} violate the fan property")
+
+
 # Mutations of the complete fans above. A changed coordinate keeps every
-# 2-face in two cones and a dropped cone leaves three faces in one, so both
-# closed and open surfaces reach the comparison.
+# 2-face in two cones, while a dropped cone leaves three faces in one and a
+# proper subset of the cones, its unused rays dropped and the rest
+# renumbered, is open too, so both closed and open surfaces reach the
+# comparison; open subsets of the chains give valid open fans of up to 30
+# rays.
 _W75 = build("W7_5")
 _W75_MOVED = [list(v) for v in _W75.rays]
 _W75_MOVED[6][2] = 1
+
+
+def _open_subset(fan, picks):
+    """The cones at positions ``picks``, with the rays they use renumbered
+    in order."""
+    cones = [fan.max_cones[p] for p in sorted(picks)]
+    used = sorted({i for cone in cones for i in cone})
+    new = {old: k for k, old in enumerate(used)}
+    return [list(fan.rays[i]) for i in used], [[new[i] for i in cone] for cone in cones]
+
+
+_CHAIN_30 = CHAIN_FANS["Z2(1)-30"]
 
 
 @st.composite
@@ -141,7 +209,7 @@ def _mutants(draw):
     fan = draw(st.sampled_from(list(COMPLETE_FANS.values())))
     rays = [list(v) for v in fan.rays]
     cones = [list(c) for c in fan.max_cones]
-    kind = draw(st.sampled_from(["coordinate", "swap", "drop", "duplicate"]))
+    kind = draw(st.sampled_from(["coordinate", "swap", "drop", "duplicate", "open subset"]))
     if kind == "coordinate":
         ray = rays[draw(st.integers(0, len(rays) - 1))]
         k = draw(st.integers(0, 2))
@@ -152,6 +220,9 @@ def _mutants(draw):
         cone[k] = draw(st.integers(0, len(rays) - 1).filter(lambda i: i != cone[k]))
     elif kind == "drop":
         del cones[draw(st.integers(0, len(cones) - 1))]
+    elif kind == "open subset":
+        picks = st.sets(st.integers(0, len(cones) - 1), min_size=1, max_size=len(cones) - 1)
+        rays, cones = _open_subset(fan, draw(picks))
     else:
         cones.append(list(cones[draw(st.integers(0, len(cones) - 1))]))
     return kind, rays, cones
@@ -161,9 +232,12 @@ def _mutants(draw):
 @given(_mutants())
 @example(("coordinate", _W75_MOVED, _W75.max_cones))
 @example(("drop", _W75.rays, _W75.max_cones[1:]))
+@example(("open subset", *_open_subset(_CHAIN_30, range(0, len(_CHAIN_30.max_cones), 2))))
 def test_mutated_fans_get_the_pairwise_verdict(mutant):
     kind, rays, cones = mutant
-    if kind in ("coordinate", "drop"):
+    if kind in ("coordinate", "drop", "open subset"):
         closed = all(len(offs) == 2 for offs in _off_rays(cones).values())
         assert closed == (kind == "coordinate")
-    _assert_matches_pairwise_scan(rays, cones)
+    got = _assert_matches_pairwise_scan(rays, cones)
+    # any set of cones of a fan is a fan
+    assert isinstance(got, Fan) or kind != "open subset"

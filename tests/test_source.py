@@ -49,14 +49,23 @@ def test_contract_ray_decides_without_a_round_trip():
 
 
 def test_one_rule_decides_overlapping_interiors():
-    # `fan._planes` is the only overlap test: the enumerator and
-    # `interiors_overlap` both run it, and the gluing test has no
-    # non-strict mode
+    # `fan._planes` is the only overlap test: the enumerator, `validate_fan`
+    # and `interiors_overlap` all run it, and no function takes a `strict`
+    # mode
     calls = _calls_by_function()
     assert ("enumeration", "_planes") not in calls
     assert ("enumeration", "_seed_point") not in calls
     assert "_planes" in calls["fan", "interiors_overlap"]
     assert "_planes" in calls["enumeration", "enumerate_smooth_complete_fans"]
+    # a fan that the local test rejects is decided by that pass and by
+    # locating its rays, with no pairwise separation test in the package
+    assert {"_tiles", "_planes", "_cones_containing"} <= calls["fan", "validate_fan"]
+    assert not [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_properly_glued"
+    ]
     fan_source = next(path for path in SOURCES if path.stem == "fan")
     params = {
         arg.arg
