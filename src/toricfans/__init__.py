@@ -26,6 +26,7 @@ from .fan import (
     picard_number,
     primitive_collections,
     primitive_relation,
+    primitive_relations,
     star_subdivide,
     validate_fan,
     wall_circuit,
@@ -88,6 +89,7 @@ __all__ = [
     "picard_number",
     "primitive_collections",
     "primitive_relation",
+    "primitive_relations",
     "projectivize",
     "star_subdivide",
     "surgery_graph",

@@ -25,14 +25,12 @@ from . import catalog, fanio
 from .enumeration import enumerate_smooth_complete_fans
 from .errors import FanError
 from .fan import (
-    _cone_inverses,
-    _relation,
-    _require_smooth,
     contract_ray,
     is_complete,
     is_smooth,
     picard_number,
     primitive_collections,
+    primitive_relations,
     star_subdivide,
     walls,
 )
@@ -167,22 +165,16 @@ def cmd_collections(args) -> int:
 
 def cmd_relations(args) -> int:
     fan = fanio.load_fan(args.fanfile)
-    collections = primitive_collections(fan)
-    if collections:  # a fan without collections lists none, smooth or not
-        _require_smooth(fan)
-    relations = []
-    inverses = list(_cone_inverses(fan))
-    for col in collections:
-        rel = _relation(fan, col, inverses)
-        relations.append(
-            {
-                "collection": list(rel.collection),
-                "label": fanio.cone_label(rel.collection),
-                "fiber_type": rel.is_fiber_type,
-                "target_rays": list(rel.target_rays),
-                "coefficients": list(rel.coefficients),
-            }
-        )
+    relations = [
+        {
+            "collection": list(rel.collection),
+            "label": fanio.cone_label(rel.collection),
+            "fiber_type": rel.is_fiber_type,
+            "target_rays": list(rel.target_rays),
+            "coefficients": list(rel.coefficients),
+        }
+        for rel in primitive_relations(fan)
+    ]
     _emit({"indexing": fanio.INDEXING_NOTE, "relations": relations})
     return EXIT_OK
 

@@ -44,11 +44,11 @@ face only if one holds an extreme ray of the other that is not its own.
 The first failing pair in cone order is named.
 Which maximal cones hold a point is decided in integers too, by the signs
 of its numerators against each cone's dual normals, the rows of its
-adjugate (`_cone_inverses`), stopping at the first of opposite sign to the
-determinant (`_cones_containing`); primitive relations (`_relation`),
-`star_subdivide` and that test of open fans use it. Callers that locate
-many points (every primitive relation, every ray) build that table once,
-as a list; one point reads it lazily, and no `Fan` stores it.
+adjugate (`_cone_inverses` tables them for every cone), stopping at the
+first of opposite sign to the determinant (`_cones_containing`); primitive
+relations, `star_subdivide` and that test of open fans use it.
+`primitive_relations` locates every relation, and that test every ray,
+through one table, and no `Fan` stores it.
 """
 
 from __future__ import annotations
@@ -160,10 +160,10 @@ def validate_fan(dim: int, raw_rays, raw_cones) -> Fan:
         cones = fan.max_cones
         masks = [sum(1 << i for i in cone) for cone in cones]
         disjoint, _ = _planes(fan.rays, masks)
-        inverses = list(_cone_inverses(fan))
+        table = _cone_inverses(fan)
         foreign = dict.fromkeys(cones, 0)  # rays each cone holds, not its own
         for i, v in enumerate(fan.rays):
-            for cone, _, _ in _cones_containing(fan, v, inverses):
+            for cone, _, _ in _cones_containing(table, v):
                 if i not in cone:
                     foreign[cone] |= 1 << i
         for (x, ca), (y, cb) in itertools.combinations(enumerate(cones), 2):
@@ -245,7 +245,7 @@ def _tiles(fan: Fan) -> bool:
         if rational.dot(h, rays[c]) * rational.dot(h, rays[d]) > 0:
             return False
         normals.append(h)
-    return len(list(_cones_containing(fan, _seed(normals)))) == 1
+    return len(list(_cones_containing(_cone_inverses(fan), _seed(normals)))) == 1
 
 
 def _seed(normals: Sequence[IntVec]) -> IntVec:
@@ -449,7 +449,22 @@ def primitive_relation(fan: Fan, collection) -> PrimitiveRelation:
     _require_smooth(fan)
     if not _is_primitive(fan, col):
         raise ValueError(f"{col} is not a primitive collection of this fan")
-    return _relation(fan, col)
+    return _relation(fan, col, _cone_inverses(fan))
+
+
+def primitive_relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
+    """`primitive_relation` of every primitive collection, in
+    `primitive_collections` order. A fan with no collection has none, smooth
+    or not; otherwise the fan's smoothness is checked once and every
+    relation is located through one table of `_cone_inverses`. A ray sum in
+    no cone of the fan raises NotCompleteError.
+    """
+    collections = primitive_collections(fan)
+    if not collections:
+        return ()
+    _require_smooth(fan)
+    table = _cone_inverses(fan)
+    return tuple(_relation(fan, col, table) for col in collections)
 
 
 def _require_smooth(fan: Fan) -> None:
@@ -459,15 +474,14 @@ def _require_smooth(fan: Fan) -> None:
         raise NotSmoothError("primitive relations need integer coefficients, so a smooth fan")
 
 
-def _relation(fan: Fan, col: ConeTuple, inverses=None) -> PrimitiveRelation:
+def _relation(fan: Fan, col: ConeTuple, table) -> PrimitiveRelation:
     """`primitive_relation` of a sorted primitive collection ``col`` of a
-    smooth fan, neither of which is checked: callers that have checked the
-    fan once call this for each collection, with one list of the fan's
-    `_cone_inverses` for all of them."""
+    smooth fan, neither of which is checked, located through the fan's
+    `_cone_inverses` ``table``."""
     total = tuple(map(sum, zip(*(fan.rays[i] for i in col))))
     if not any(total):
         return PrimitiveRelation(col, (), ())
-    for cone, d, numerators in _cones_containing(fan, total, inverses):
+    for cone, d, numerators in _cones_containing(table, total):
         target = [(i, n) for i, n in zip(cone, numerators) if n > 0]
         if any(n % d for _, n in target):
             raise AssertionError(f"relation of {col} has non-integral coefficients")
@@ -479,31 +493,30 @@ def _relation(fan: Fan, col: ConeTuple, inverses=None) -> PrimitiveRelation:
     raise NotCompleteError(f"the ray sum {total} lies in no cone of the fan")
 
 
-def _cone_inverses(fan: Fan):
-    """Yield ``(cone, d, p, q, r)`` per maximal cone, in cone order: d is
-    the determinant of its rays a, b, c and p, q, r are the adjugate rows
+def _cone_inverses(fan: Fan) -> list:
+    """``(cone, d, p, q, r)`` per maximal cone, in cone order: d is the
+    determinant of its rays a, b, c and p, q, r are the adjugate rows
     b x c, c x a, a x b, so a point's numerators in the cone, over d, are its
     dot products with them (`rational.dual_normals`, which raises ValueError
-    for dependent rays). Lazy for one point; a caller locating many makes it
-    a list once."""
+    for dependent rays)."""
     rays = fan.rays
+    table = []
     for cone in fan.max_cones:
         d, p, q, r = rational.dual_normals([rays[i] for i in cone])
-        yield cone, d, p, q, r
+        table.append((cone, d, p, q, r))
+    return table
 
 
-def _cones_containing(fan: Fan, v: IntVec, inverses=None):
+def _cones_containing(table, v: IntVec):
     """Yield ``(cone, d, numerators)`` for each maximal cone holding v, in
     cone order: d > 0 is the cone's determinant up to sign and v is
     sum(n_j / d * rays[cone[j]]) with every n_j >= 0, positive exactly on the
     rays of the face whose relative interior holds v. Integer arithmetic
-    only: each cone of ``inverses`` (by default the lazy `_cone_inverses`)
-    costs at most three dot products, and the first of opposite sign to the
-    determinant rules it out."""
+    only: each cone of the `_cone_inverses` ``table`` costs at most three
+    dot products, and the first of opposite sign to the determinant rules
+    it out."""
     x, y, z = v
-    for cone, d, (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) in (
-        _cone_inverses(fan) if inverses is None else inverses
-    ):
+    for cone, d, (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) in table:
         n0 = p0 * x + p1 * y + p2 * z
         if n0 * d < 0:
             continue
@@ -534,7 +547,7 @@ def star_subdivide(fan: Fan, new_ray) -> Fan:
     if v in fan.rays:
         raise RayExistsError(f"{v} is already a ray of the fan")
     new_index = len(fan.rays)
-    touched = {cone: numerators for cone, _, numerators in _cones_containing(fan, v)}
+    touched = {cone: nums for cone, _, nums in _cones_containing(_cone_inverses(fan), v)}
     if not touched:
         raise NotInSupportError(f"{v} lies in no cone of the fan")
     cones_out = [cone for cone in fan.max_cones if cone not in touched]

@@ -12,20 +12,22 @@ feasible point is read from it. Bland's smallest-index rule picks the
 entering and the leaving variable, so degenerate pivots cannot cycle, and it
 reads only signs and ratios within one row, which no positive factor
 changes; a basic column's entry in its own row is that row's factor, so the
-multipliers are read exactly too. An infeasible system yields the
-basic ``y``: nonnegative Farkas multipliers with ``y @ A == 0`` and
-``y @ b > 0``. A feasible one yields a rational point read off the simplex
-multipliers of the positive Phase I optimum. `verify_feasible` and
-`verify_farkas`, the package's only certificate checks, re-verify both by
-direct evaluation, independently of the solver, and also accept a rational
-``b``; a witness entry that is not an ``int`` or a ``Fraction`` fails the
-check, and a witness of the wrong length raises ValueError.
-Both put the witness over one common denominator and compare integer
-sums: `verify_feasible` row by row, `verify_farkas` on the combined row.
-`fm_feasible` is the same decision without the witness. No LP decides cone
-gluing or overlap in `fan`: `validate_fan` decides a closed fan by a local
-test of its walls and one seed point, and any other by the overlap pass
-`_planes` and the cones `_cones_containing` finds for each ray.
+multipliers are read exactly too. A repeated (row, rhs) pair is solved
+once, which changes no pivot, and its later copies get multiplier 0. An
+infeasible system yields the basic ``y``: nonnegative Farkas multipliers
+with ``y @ A == 0`` and ``y @ b > 0``. A feasible one yields a rational
+point read off the simplex multipliers of the positive Phase I optimum.
+`verify_feasible` and `verify_farkas`, the package's only certificate
+checks, re-verify both by direct evaluation, independently of the solver,
+and also accept a rational ``b``; a witness entry that is not an ``int``
+or a ``Fraction`` fails the check, and a witness of the wrong length
+raises ValueError. Both put the witness over one common denominator and
+compare integer sums: `verify_feasible` row by row, `verify_farkas` on the
+combined row. `fm_feasible` is the same decision without the witness. No
+LP decides cone gluing or overlap in `fan`: `validate_fan` decides a
+closed fan by a local test of its walls and one seed point, and any other
+by the overlap pass `_planes` and the cones `_cones_containing` finds for
+each ray.
 """
 
 from __future__ import annotations
@@ -57,25 +59,38 @@ def solve_system(
     Every coefficient and every right-hand side must be an ``int`` (not a
     bool) and every row must have the same length; anything else raises
     ValueError.
+
+    A repeated (row, rhs) pair is solved once, at its first occurrence, and
+    its later copies get Farkas multiplier 0. The outcome, certificate
+    values included, is that of solving every row: a repeat's column equals
+    its first copy's, so its reduced cost is the same, and Bland's rule
+    enters the earlier column first; once that one is basic both costs are
+    0, so the repeat never enters, and the other columns see the same
+    pivots in the same order.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if len(rhs) != m or any(len(row) != n for row in rows):
+    n = len(rows[0]) if rows else 0
+    if len(rhs) != len(rows) or any(len(row) != n for row in rows):
         raise ValueError("solve_system needs equally long rows and one right-hand side per row")
     if any(type(c) is not int for row in rows for c in row):
         raise ValueError("solve_system needs int coefficients")
     if any(type(r) is not int for r in rhs):
         raise ValueError("solve_system needs int right-hand sides")
-    # Constraint k < n is column k of `rows` (y @ rows == 0); constraint n is
-    # y @ rhs == 1. Columns: y_0..y_{m-1}, then one artificial per constraint,
+    first: dict = {}
+    for i, pair in enumerate(zip(map(tuple, rows), rhs)):
+        first.setdefault(pair, i)
+    keep = list(first.values())  # the y columns, one per distinct pair
+    m = len(keep)
+    # Constraint k < n is column k of the kept rows (y @ rows == 0);
+    # constraint n is y @ rhs == 1. Columns: y_0..y_{m-1}, y_j for row
+    # keep[j], then one artificial per constraint,
     # then the right-hand side. Each row is a primitive integer vector, a
     # positive multiple of its true row; `cost` holds the reduced costs of
     # the Phase I objective (the sum of the artificials) times `scale`.
     tableau = [
-        [row[k] for row in rows] + [int(k == j) for j in range(n + 1)] + [0]
+        [rows[i][k] for i in keep] + [int(k == j) for j in range(n + 1)] + [0]
         for k in range(n)
     ]
-    tableau.append(list(rhs) + [int(j == n) for j in range(n + 1)] + [1])
+    tableau.append([rhs[i] for i in keep] + [int(j == n) for j in range(n + 1)] + [1])
     cost = [-sum(col) for col in zip(*tableau)][:m] + [0] * (n + 1) + [-1]
     scale = 1
     basis = list(range(m, m + n + 1))
@@ -121,10 +136,10 @@ def solve_system(
 
     if cost[-1] == 0:
         # a basic column holds 1 in its true row, so its entry is the scale
-        y = [Fraction(0)] * m
+        y = [Fraction(0)] * len(rows)
         for row, j in zip(tableau, basis):
             if j < m:
-                y[j] = Fraction(row[-1], row[j])
+                y[keep[j]] = Fraction(row[-1], row[j])
         return FarkasCertificate(tuple(y))
     # Simplex multipliers w_k = 1 - (reduced cost of artificial k), here
     # times scale. The y columns' reduced costs are >= 0, so row by row

@@ -4,14 +4,16 @@ A torus-invariant divisor D = sum(d_i * D_i) is encoded by its coefficient
 vector ``d``. D is ample exactly when d is strictly positive against the
 circuit of every wall, and the fan is projective exactly when some such d
 exists (existence of a strictly convex support function). Feasibility is
-decided by the exact simplex of `lp.solve_system`, given each system's
-distinct rows (`_solve_distinct`); the answer always comes with a
-certificate: an explicit ample d, or Farkas multipliers over the walls
-combining the inequalities into a contradiction. The certificate's values
-depend on the solver; the verdict does not. Each system is built by one
-function (`_ample_system`, `_effective_system`), and every certificate is
-re-verified against its rows by `lp.verify_feasible` or `lp.verify_farkas`;
-a certificate of the wrong shape fails verification.
+decided by the exact simplex of `lp.solve_system`, which solves each
+system's distinct rows; the answer always comes with a certificate: an
+explicit ample d, or Farkas multipliers over the walls combining the
+inequalities into a contradiction. The certificate's values depend on the
+solver; the verdict does not. Each system is built by one function
+(`_ample_system`, `_effective_system`, whose relations come from
+`fan.primitive_relations`), and every certificate is re-verified against
+its rows by `lp.verify_feasible` or `lp.verify_farkas`; a certificate of
+the wrong shape fails verification. On a fan that is not smooth the
+effective-ample test raises the NotSmoothError of primitive relations.
 """
 
 from __future__ import annotations
@@ -21,18 +23,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import rational
-from .errors import FanValidationError, NotCompleteError, NotSmoothError
-from .fan import (
-    Fan,
-    _cone_inverses,
-    _relation,
-    is_complete,
-    is_smooth,
-    primitive_collections,
-    wall_circuit,
-    walls,
-)
-from .lp import FarkasCertificate, FeasiblePoint, solve_system, verify_farkas, verify_feasible
+from .errors import FanValidationError, NotCompleteError
+from .fan import Fan, is_complete, primitive_relations, wall_circuit, walls
+from .lp import FeasiblePoint, solve_system, verify_farkas, verify_feasible
 
 
 @dataclass(frozen=True)
@@ -72,19 +65,14 @@ def _ample_system(fan: Fan) -> tuple[list, list[int]]:
 
 def _effective_system(fan: Fan) -> tuple[list, list[int]]:
     """Rows ``d_i >= 0`` for every ray, then degree >= 1 on every primitive
-    relation in `primitive_collections` order. Smoothness is checked once,
-    so each relation comes from the unchecked `fan._relation`, located
-    through one list of the fan's cone inverses."""
+    relation in `primitive_collections` order; `fan.primitive_relations`
+    raises NotSmoothError on a fan that is not smooth."""
     if not is_complete(fan):
         raise NotCompleteError("this query needs a complete fan")
-    if not is_smooth(fan):
-        raise NotSmoothError("the effective-ample test uses primitive relations of a smooth fan")
     n = len(fan.rays)
     rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rhs = [0] * n
-    inverses = list(_cone_inverses(fan))
-    for col in primitive_collections(fan):
-        rel = _relation(fan, col, inverses)
+    for rel in primitive_relations(fan):
         coeffs = [0] * n
         for i in rel.collection:
             coeffs[i] += 1
@@ -101,27 +89,6 @@ def _gauge_columns(fan: Fan) -> list[int]:
     # changing existence of a strictly convex support function.
     fixed = set(fan.max_cones[0])
     return [i for i in range(len(fan.rays)) if i not in fixed]
-
-
-def _solve_distinct(rows: list, rhs: list[int]):
-    """`solve_system` on the distinct (row, rhs) pairs, in order of first
-    occurrence; Farkas multipliers come back over every row, zero on each
-    repeat. The outcome, certificate values included, is the full solve's:
-    a repeat's column equals its first occurrence's, so its reduced cost
-    is the same, and Bland's rule enters the earlier column first; once
-    that one is basic both costs are 0, so the repeat never enters, and the
-    other columns see the same pivots in the same order."""
-    first: dict = {}
-    for i, pair in enumerate(zip(rows, rhs)):
-        first.setdefault(pair, i)
-    keep = list(first.values())
-    outcome = solve_system([rows[i] for i in keep], [rhs[i] for i in keep])
-    if isinstance(outcome, FeasiblePoint):
-        return outcome
-    mult = [Fraction(0)] * len(rows)
-    for i, m in zip(keep, outcome.multipliers):
-        mult[i] = m
-    return FarkasCertificate(tuple(mult))
 
 
 def _is_divisor(d, n: int) -> bool:
@@ -167,7 +134,7 @@ def is_projective(fan: Fan) -> tuple[bool, ProjectivityCertificate]:
     """Decide existence of an ample divisor, with certificate."""
     rows, rhs = _ample_system(fan)
     free = _gauge_columns(fan)
-    outcome = _solve_distinct([tuple(row[i] for i in free) for row in rows], rhs)
+    outcome = solve_system([tuple(row[i] for i in free) for row in rows], rhs)
     if isinstance(outcome, FeasiblePoint):
         d = [Fraction(0)] * len(fan.rays)
         for i, value in zip(free, outcome.x):
@@ -218,7 +185,7 @@ def nontrivial_nef_exists(fan: Fan) -> bool:
     nef_rows = [tuple(row[i] for i in free) for row in rows]
     nef_rows.append(tuple(sum(col) for col in zip(*nef_rows)))
     rhs = [0] * len(rows) + [1]
-    outcome = _solve_distinct(nef_rows, rhs)
+    outcome = solve_system(nef_rows, rhs)
     exists = isinstance(outcome, FeasiblePoint)
     if exists:
         holds = verify_feasible(nef_rows, rhs, outcome.x)
@@ -242,7 +209,7 @@ def effective_ample_obstruction(fan: Fan) -> Optional[ObstructionWitness]:
     fan, which took 0.4-2.5 s at 35-50 rays on the Z2(1) blow-up chain.
     """
     rows, rhs = _effective_system(fan)
-    outcome = _solve_distinct(rows, rhs)
+    outcome = solve_system(rows, rhs)
     if isinstance(outcome, FeasiblePoint):
         return None
     n = len(fan.rays)

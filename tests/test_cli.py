@@ -222,7 +222,7 @@ class TestCheck:
     ):
         # zero every entry of the nef LP's point or multipliers, so neither
         # the sum row nor the Farkas total holds; the ample LP is untouched
-        real = projectivity._solve_distinct
+        real = projectivity.solve_system
 
         def zeroed(rows, rhs):
             outcome = real(rows, rhs)
@@ -235,7 +235,7 @@ class TestCheck:
         path = write_catalog_fan(tmp_path, fid)
         _, out, _ = run(capsys, "check", str(path), "--nef")
         assert json.loads(out)["nontrivial_nef_exists"] is exists
-        monkeypatch.setattr(projectivity, "_solve_distinct", zeroed)
+        monkeypatch.setattr(projectivity, "solve_system", zeroed)
         with pytest.raises(AssertionError, match="does not re-verify"):
             nontrivial_nef_exists(build(fid))
         code, out, err = run(capsys, "check", str(path), "--nef")

@@ -68,7 +68,7 @@ from toricfans.errors import (
     UnsupportedStarPatternError,
     UnusedRayError,
 )
-from toricfans.fan import Fan, _cones_containing, interiors_overlap
+from toricfans.fan import Fan, _cone_inverses, _cones_containing, interiors_overlap
 from toricfans.lp import FeasiblePoint, solve_system
 
 
@@ -815,7 +815,7 @@ def test_cone_location_matches_fraction_cramer():
         for v in sums + list(fan.rays):
             got = [
                 (cone, tuple(Fraction(n, d) for n in numerators))
-                for cone, d, numerators in _cones_containing(fan, v)
+                for cone, d, numerators in _cones_containing(_cone_inverses(fan), v)
             ]
             assert got == cones_containing_by_fraction_cramer(fan, v)
         if every is None:

@@ -19,7 +19,7 @@ from toricfans.lp import (
     verify_farkas,
     verify_feasible,
 )
-from toricfans.projectivity import _ample_system, _effective_system, _solve_distinct
+from toricfans.projectivity import _ample_system, _effective_system
 
 
 def _random_system(rng):
@@ -157,14 +157,25 @@ def test_solver_matches_basis_enumeration_with_verified_witnesses(system):
 
 
 @settings(max_examples=500, deadline=None)
-@given(_systems())
-def test_kernel_matches_the_common_denominator_kernel(system):
+@given(_systems(), st.data())
+def test_kernel_matches_the_common_denominator_kernel(system, data):
     # the same pivots, so the same outcome, certificate values included;
-    # solving only the distinct rows, as `projectivity` does, changes neither
+    # the kernel solves each distinct (row, rhs) pair once and the oracle
+    # every row, so copies of drawn rows at drawn positions change neither,
+    # and every later copy gets multiplier 0
     rows, rhs = _scaled(*system)
     out = solve_system(rows, rhs)
     assert out == solve_system_bareiss(rows, rhs)
-    assert _solve_distinct(rows, rhs) == out
+    for _ in range(data.draw(st.integers(1, 4)) if rows else 0):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        at = data.draw(st.integers(0, len(rows)))
+        rows.insert(at, rows[i])
+        rhs.insert(at, rhs[i])
+    out = solve_system(rows, rhs)
+    assert out == solve_system_bareiss(rows, rhs)
+    if isinstance(out, FarkasCertificate):
+        pairs = list(zip(rows, rhs))
+        assert all(m == 0 for k, m in enumerate(out.multipliers) if pairs[k] in pairs[:k])
 
 
 # Every nonzero vector of {-1, 0, 1}^4, almost all with rhs 0: each of the 80

@@ -383,7 +383,8 @@ def test_effective_obstruction_scans_primitive_collections_once(monkeypatch):
         scans.append(fan)
         return primitive_collections(fan)
 
-    monkeypatch.setattr(projectivity, "primitive_collections", counting_primitive_collections)
+    # `fan.primitive_relations` reads the collections through its module
+    monkeypatch.setattr(toricfans.fan, "primitive_collections", counting_primitive_collections)
     witnesses = 0
     for fid, params in CATALOG_GRID:
         witnesses += effective_ample_obstruction(build(fid, params)) is not None

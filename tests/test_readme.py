@@ -19,6 +19,8 @@ def test_library_quick_tour_gives_the_commented_values():
     scope = {}
     exec(_block("## Library quick tour", "python"), scope)
     assert scope["ok"] is False and scope["cert"].farkas
+    rel = scope["rel"]
+    assert (rel.collection, rel.target_rays, rel.coefficients) == ((0, 3), (5,), (1,))
     assert [wall.rays for wall in scope["flopping_walls"](scope["w"])] == [(0, 6), (1, 4), (2, 5)]
     assert is_projective(scope["flopped"])[0] is True
     assert len(scope["report"].fans) == 1

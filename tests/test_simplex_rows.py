@@ -4,24 +4,28 @@
 known up to a positive scale, and `oracles.solve_system_bareiss` keeps every
 entry over one common denominator. Bland's rule reads only signs and ratios
 within a row, so both take the same pivots and return equal outcomes,
-certificate values included. `projectivity` solves each system on its
-distinct rows (`_solve_distinct`), which must change nothing either.
-`_effective_system` and `relations` locate every primitive relation through
-one list of `fan._cone_inverses`, which must give `primitive_relation`.
+certificate values included. `solve_system` solves each distinct (row, rhs)
+pair once, which must change nothing either. `_effective_system` and
+`relations` take every primitive relation from `primitive_relations`, which
+locates them all through one table of `fan._cone_inverses` and must give
+`primitive_relation`.
 """
 
 import pytest
 
 from conftest import CATALOG_GRID, blowup_rungs
 from oracles import solve_system_bareiss
-from toricfans import build, is_smooth, projectivity
-from toricfans.fan import (
-    _cone_inverses,
-    _relation,
+from toricfans import (
+    build,
+    contract_ray,
+    is_smooth,
     primitive_collections,
     primitive_relation,
+    primitive_relations,
+    projectivity,
+    validate_fan,
 )
-from toricfans.lp import solve_system
+from toricfans.errors import NotCompleteError, NotSmoothError
 
 CHAINS = [("W7_5", ()), ("Z2", (1,))]
 
@@ -33,19 +37,19 @@ def _chain(fid, params):
 
 def _solved_systems(monkeypatch, fans, check_path_only):
     """``(rows, rhs, outcome)`` for each system `projectivity` hands to
-    `_solve_distinct` on ``fans``, with the outcome it returned. Every fan
+    `solve_system` on ``fans``, with the outcome it returned. Every fan
     gets the ample, the nef and, when smooth, the effective-ample system;
     with ``check_path_only`` a projective fan gets only the ample one, as in
     `check --certificate --nef`."""
     solved = []
-    distinct = projectivity._solve_distinct
+    solve = projectivity.solve_system
 
     def record(rows, rhs):
-        outcome = distinct(rows, rhs)
+        outcome = solve(rows, rhs)
         solved.append((rows, rhs, outcome))
         return outcome
 
-    monkeypatch.setattr(projectivity, "_solve_distinct", record)
+    monkeypatch.setattr(projectivity, "solve_system", record)
     for fan in fans:
         projective, _ = projectivity.is_projective(fan)
         if check_path_only and projective:
@@ -62,9 +66,7 @@ def test_grid_systems_match_the_common_denominator_kernel(monkeypatch):
     assert len(solved) > 2 * len(fans)
     repeats = 0
     for rows, rhs, outcome in solved:
-        full = solve_system(rows, rhs)
-        assert full == solve_system_bareiss(rows, rhs)
-        assert outcome == full
+        assert outcome == solve_system_bareiss(rows, rhs)
         repeats += len(set(zip(rows, rhs))) < len(rows)
     assert repeats > 100  # the distinct-row solve drops rows on many systems
 
@@ -86,9 +88,11 @@ def test_relations_from_the_cone_table_equal_primitive_relation():
     fans += [fan for chain in CHAINS for fan in _chain(*chain) if len(fan.rays) <= 30]
     count = 0
     for fan in fans:
-        table = list(_cone_inverses(fan))
-        for col in primitive_collections(fan):
-            assert _relation(fan, col, table) == primitive_relation(fan, col)
+        relations = primitive_relations(fan)
+        collections = primitive_collections(fan)
+        assert len(relations) == len(collections)
+        for rel, col in zip(relations, collections):
+            assert rel == primitive_relation(fan, col)
             count += 1
     assert count > 10_000
 
@@ -99,9 +103,10 @@ def test_relations_from_the_cone_table_hold_up_to_50_rays(fid, params):
     # positive combination of target rays, and the targets span a cone of
     # the fan, so they are the face whose relative interior holds the sum
     for fan in _chain(fid, params):
-        table = list(_cone_inverses(fan))
-        for col in primitive_collections(fan):
-            rel = _relation(fan, col, table)
+        relations = primitive_relations(fan)
+        collections = primitive_collections(fan)
+        assert len(relations) == len(collections)
+        for rel, col in zip(relations, collections):
             assert rel.collection == col
             assert all(c > 0 for c in rel.coefficients)
             assert not rel.target_rays or rel.target_rays in fan.faces
@@ -111,3 +116,31 @@ def test_relations_from_the_cone_table_hold_up_to_50_rays(fid, params):
                 for k in range(3)
             ]
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("third", [(0, 0, 1), (1, 1, 2)], ids=["smooth", "singular"])
+def test_a_fan_without_collections_has_no_relations(third):
+    fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), third], [(0, 1, 2)])
+    assert primitive_collections(fan) == ()
+    assert primitive_relations(fan) == ()
+
+
+def test_primitive_relations_need_a_smooth_fan():
+    # the effective-ample test and its check read their rows from
+    # `primitive_relations`, so they raise its error
+    fan = contract_ray(build("Z2", (0,)), 1)
+    for call in (
+        primitive_relations,
+        projectivity.effective_ample_obstruction,
+        lambda f: projectivity.verify_obstruction(f, projectivity.ObstructionWitness({}, {})),
+    ):
+        with pytest.raises(NotSmoothError, match="^primitive relations need integer coefficients"):
+            call(fan)
+
+
+def test_primitive_relations_need_every_ray_sum_in_the_fan():
+    fan = validate_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [(0, 1, 2), (0, 1, 3)]
+    )
+    with pytest.raises(NotCompleteError, match=r"^the ray sum \(-1, -1, 0\) lies in no cone"):
+        primitive_relations(fan)

@@ -145,17 +145,39 @@ def _calls_of(node, name):
     ]
 
 
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _loops(node):
+    """The loops inside ``node``, comprehensions with their element."""
+    return [loop for loop in ast.walk(node) if isinstance(loop, _LOOPS)]
+
+
 def test_effective_system_checks_smoothness_once():
-    # the fan is checked once, outside any loop, and each relation comes
-    # from the unchecked core, never the public `primitive_relation`, which
-    # checks smoothness again on every call; so does `relations`
-    system = _function("projectivity", "_effective_system")
-    loops = [node for node in ast.walk(system) if isinstance(node, (ast.For, ast.comprehension))]
-    assert len(_calls_of(system, "is_smooth")) == 1
-    assert not any(_calls_of(loop, "is_smooth") for loop in loops)
+    # `_effective_system` and `relations` take every relation from
+    # `fan.primitive_relations`, which checks the fan once, outside its
+    # loop; neither it nor the unchecked `_relation` calls the public
+    # `primitive_relation`, which checks smoothness again on every call
     calls = _calls_by_function()
+    checks = {"is_smooth", "_require_smooth", "primitive_relation"}
     for site in [("projectivity", "_effective_system"), ("cli", "cmd_relations")]:
-        assert "_relation" in calls[site] and "primitive_relation" not in calls[site]
+        assert "primitive_relations" in calls[site] and not calls[site] & checks
+    assert not calls["fan", "_relation"] & checks
+    batch = _function("fan", "primitive_relations")
+    assert len(_calls_of(batch, "_require_smooth")) == 1
+    assert not any(_calls_of(loop, "_require_smooth") for loop in _loops(batch))
+    assert not calls["fan", "primitive_relations"] & {"is_smooth", "primitive_relation"}
+    assert calls["fan", "_require_smooth"] == {"is_smooth", "NotSmoothError"}
+
+
+def test_callers_import_no_private_fan_name():
+    # `cli` and `projectivity` reach `fan` through its public functions only
+    for module in ("cli", "projectivity"):
+        tree = ast.parse(next(p for p in SOURCES if p.stem == module).read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        names = [alias.name for node in imports if node.module == "fan" for alias in node.names]
+        assert names and not any(name.startswith("_") for name in names)
+        assert not any(alias.name == "fan" for node in imports for alias in node.names)
 
 
 def test_primitive_collections_reads_the_edge_graph():
@@ -168,17 +190,19 @@ def test_primitive_collections_reads_the_edge_graph():
 
 
 def test_cone_inverse_table_is_built_once_per_batch():
-    # the callers that locate every primitive relation build the table once,
-    # outside their loop; one point reads the lazy generator, and the table
-    # is never stored on a `Fan`, whose only cached tables are the face ones
-    for module, name in [("projectivity", "_effective_system"), ("cli", "cmd_relations")]:
-        func = _function(module, name)
-        loops = [node for node in ast.walk(func) if isinstance(node, (ast.For, ast.comprehension))]
-        builds = _calls_of(func, "_cone_inverses")
-        assert len(builds) == 1 and not any(_calls_of(loop, "_cone_inverses") for loop in loops)
-        assert all(len(call.args) == 3 for call in _calls_of(func, "_relation"))
+    # `primitive_relations` builds one table for all relations, outside its
+    # loop; the table is a list, which `_cones_containing` and `_relation`
+    # take with no lazy default, and no `Fan` stores it, whose only cached
+    # tables are the face ones
+    batch = _function("fan", "primitive_relations")
+    assert len(_calls_of(batch, "_cone_inverses")) == 1
+    assert not any(_calls_of(loop, "_cone_inverses") for loop in _loops(batch))
+    assert all(len(call.args) == 3 for call in _calls_of(batch, "_relation"))
     table = _function("fan", "_cone_inverses")
-    assert any(isinstance(node, ast.Yield) for node in ast.walk(table))
+    assert not any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in ast.walk(table))
+    for name in ("_cones_containing", "_relation"):
+        args = _function("fan", name).args
+        assert not (args.defaults or args.kw_defaults)
     cached = {name for name, value in vars(Fan).items() if isinstance(value, cached_property)}
     assert cached == {"faces", "face_census"}
 
@@ -197,3 +221,14 @@ def test_one_simplex_kernel():
     args = _function("lp", "solve_system").args
     assert [a.arg for a in args.args] == ["rows", "rhs"]
     assert not (args.kwonlyargs or args.vararg or args.kwarg or args.defaults)
+    # the kernel drops repeated rows itself, so no caller-side wrapper does
+    functions = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "solve_system" in functions and "_solve_distinct" not in functions
+    calls = _calls_by_function()
+    for name in ("is_projective", "nontrivial_nef_exists", "effective_ample_obstruction"):
+        assert "solve_system" in calls["projectivity", name]
